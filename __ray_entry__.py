@@ -1720,10 +1720,11 @@ def _q_language_id(sf_dir: str):
         ),
         batch_format="pyarrow",
     ).sum("n")
-    assert not n_non_ascii, (
-        f"language_id oracle precondition broken: {n_non_ascii} non-ASCII "
-        "docs (script-range branch would fire; extend the SQL oracle)"
-    )
+    if n_non_ascii:
+        raise RuntimeError(
+            f"language_id oracle precondition broken: {n_non_ascii} non-ASCII "
+            "docs (script-range branch would fire; extend the SQL oracle)"
+        )
     out = language_id(docs).to_pandas()
     out["score_q"] = np.floor(out["lang_score"].to_numpy() * 1e6 + 0.5).astype(
         "int64"

@@ -11,7 +11,9 @@ Layout:
                  distributed is judged against this package.
   sources/     — synthetic `pages` generator + file-corpus ingestion
                  (the reference CLI's directory-of-files input mode).
-  stages/      — map_batches stage bodies (tokenize actor, codecs).
+  stages/      — map_batches stage bodies (tokenize actor, codecs) and
+                 shuffle.py, the routed shuffle every key-partitioned
+                 reduce runs through (route_parts / routed_reduce).
   pipelines/   — build (index construction), query (search engines), dedup
                  (exact/MinHash/SimHash/embedding/winnowing), ann (streaming
                  + persisted index), text_analysis, events (windows,

@@ -32,11 +32,16 @@ schema divergences between non-empty blocks still warn exactly as
 before.
 
 Applied on package import; the hook runs only in the driver process, so
-no worker-side import ordering matters.  Remove when Ray's shuffle
-reduces preserve typed schemas for empty outputs.
+no worker-side import ordering matters.  It patches PRIVATE executor
+internals, so it only applies on the Ray versions in `_TESTED_RAY`; any
+other version runs unpatched and gets one warning.  Remove when Ray's
+shuffle reduces preserve typed schemas for empty outputs.
 """
 
 from __future__ import annotations
+
+#: Ray releases the patched internals were read and tested against.
+_TESTED_RAY = {"2.49.2"}
 
 
 def _typed_empty_block(schema):
@@ -59,7 +64,18 @@ def _typed_empty_block(schema):
 
 def apply() -> None:
     import logging
+    import warnings
 
+    import ray
+
+    if ray.__version__ not in _TESTED_RAY:
+        warnings.warn(
+            f"indexer_ray: Ray {ray.__version__} is not a tested version "
+            f"({', '.join(sorted(_TESTED_RAY))}); the empty-block schema patch "
+            "is not applied",
+            stacklevel=2,
+        )
+        return
     try:
         from ray.data._internal.execution import streaming_executor_state as _ses
         from ray.data._internal.execution.interfaces import RefBundle
@@ -68,8 +84,6 @@ def apply() -> None:
         return
     if getattr(_ses.dedupe_schemas_with_validation, "_indexer_ray_patch", False):
         return
-
-    import ray
 
     _orig = _ses.dedupe_schemas_with_validation
 

@@ -69,9 +69,11 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 def key_partition(keys: np.ndarray, n_parts: int) -> np.ndarray:
     """int32 partition per uint64 key: golden-ratio multiply + high-bits
-    mix.  THE shared routing hash for every partition-routed blocking
-    operator (sessionize, joins, winnowing) — one definition so a fix
-    lands everywhere."""
+    mix.  Reduce-side routing goes through `stages.shuffle.route_parts`,
+    which applies this to one integer key column unchanged (and to the
+    mixed hash of any other key); call it directly only where the
+    partition id itself is stored (the writer's part_<p> layout, the
+    trigram index's on-disk partitions)."""
     with np.errstate(over="ignore"):
         return (
             ((keys.astype(np.uint64) * _GOLDEN) >> np.uint64(32)) % np.uint64(n_parts)

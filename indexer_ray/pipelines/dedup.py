@@ -46,6 +46,7 @@ import pandas as pd
 import pyarrow as pa
 
 from indexer_ray.conformance.lexer import tokenize_plain
+from indexer_ray.stages.shuffle import route_parts, routed_reduce
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -231,6 +232,8 @@ class MinHashStage:
 
 
 _PAIR_PARTITIONS = 64
+#: LSH bucket identity: one reduce partition holds whole (band, hash) buckets
+_BUCKET_KEY = ["band", "band_hash"]
 
 
 def _adaptive_pair_parts(ds, n_parts: int | None) -> int:
@@ -249,19 +252,6 @@ def _adaptive_pair_parts(ds, n_parts: int | None) -> int:
     except Exception:
         return _PAIR_PARTITIONS
     return int(np.clip(n // 256, 8, _PAIR_PARTITIONS))
-
-
-def _add_bucket_part(batch: pa.Table, n_parts: int = _PAIR_PARTITIONS) -> pa.Table:
-    """Route each banded row to a bucket partition: ONE map_groups call per
-    partition (not per bucket) keeps the per-group overhead off the ~N·bands
-    tiny buckets — the shuffle key co-locates whole buckets."""
-    bh = batch.column("band_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-    band = batch.column("band").to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        part = ((bh ^ (band * np.uint64(0x9E3779B97F4A7C15))) % np.uint64(n_parts)).astype(
-            np.int32
-        )
-    return batch.append_column("part", pa.array(part, type=pa.int32()))
 
 
 def _bucket_pairs_in_part(g: pd.DataFrame, max_bucket: int) -> pd.DataFrame:
@@ -483,14 +473,10 @@ def _pairwise_jaccard_join_ds(
     shingle_list = pa.list_(pa.uint64())
 
     def _pair_rows(batch: pa.Table) -> pa.Table:
-        a = batch.column("doc_a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch.column("doc_b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = ((a * np.uint64(0x9E3779B97F4A7C15)) ^ b) % np.uint64(n_parts)
-        n = len(a)
+        n = batch.num_rows
         return pa.table(
             {
-                "part": pa.array(part.astype(np.int32), type=pa.int32()),
+                "part": pa.array(route_parts(batch, ["doc_a", "doc_b"], n_parts)),
                 "doc_a": batch.column("doc_a"),
                 "doc_b": batch.column("doc_b"),
                 "doc_id": pa.array(np.full(n, -1, dtype=np.int64), type=pa.int64()),
@@ -696,12 +682,8 @@ def minhash_pairs_ds(
     )
     # (doc_a, doc_b, truncated): deduped across bands — distributed groupby
     # above the threshold, one driver pandas pass below it (regime helper)
-    raw_pairs = (
-        sigs.map_batches(
-            _add_bucket_part, fn_kwargs={"n_parts": P}, batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(lambda g: _bucket_pairs_in_part(g, max_bucket), batch_format="pandas")
+    raw_pairs = routed_reduce(
+        sigs, _BUCKET_KEY, P, lambda g: _bucket_pairs_in_part(g, max_bucket)
     )
     cand = _dedup_pairs_regime(
         raw_pairs,
@@ -1008,13 +990,7 @@ def simhash_pairs_ds(
     # bands have identical hamming (Min picks one); counter rows all share
     # the (-1, -1) key and Sum their covered-doc counts.  Distributed
     # groupby above the size threshold, driver pandas pass below it.
-    raw_pairs = (
-        banded.map_batches(
-            _add_bucket_part, fn_kwargs={"n_parts": P}, batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(pairs_in_part, batch_format="pandas")
-    )
+    raw_pairs = routed_reduce(banded, _BUCKET_KEY, P, pairs_in_part)
     return _dedup_pairs_regime(
         raw_pairs,
         ["doc_a", "doc_b"],
@@ -1072,7 +1048,7 @@ def embedding_pairs_ds(
     of ANY table become candidates (recall 1-(1-p^k)^L instead of the
     single-table p^k cliff at the threshold).  (table, bucket) keys are
     hash-ROUTED into `n_parts` partitions — ONE vectorized verify pass per
-    partition, the same `_add_bucket_part` pattern as minhash/simhash/
+    partition, the same `routed_reduce` blocking as minhash/simhash/
     winnow, not one map_groups per bucket — then a distributed groupby
     dedups pairs found in several tables.  Each vector emits n_tables rows,
     so the shuffle grows L-fold — the standard LSH recall/cost trade.
@@ -1128,14 +1104,6 @@ def embedding_pairs_ds(
         batch_size=4096,
         concurrency=(1, 8),
     )
-
-    def _route(batch: pa.Table) -> pa.Table:
-        from indexer_ray.functions.hashing import key_partition
-
-        part = key_partition(
-            batch.column("bucket").to_numpy(zero_copy_only=False), P
-        )
-        return batch.append_column("part", pa.array(part, type=pa.int32()))
 
     def verify_part(g: pd.DataFrame) -> pd.DataFrame:
         """One vectorized pass over ALL buckets routed to this partition:
@@ -1194,11 +1162,7 @@ def embedding_pairs_ds(
     # cross-table dedup + counter merge (cosine is identical for the same
     # pair in every table; Max just picks one): distributed groupby above
     # the size threshold, driver pandas pass below it
-    raw_pairs = (
-        bucketed.map_batches(_route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(verify_part, batch_format="pandas")
-    )
+    raw_pairs = routed_reduce(bucketed, ["bucket"], P, verify_part)
     return _dedup_pairs_regime(
         raw_pairs,
         ["vec_a", "vec_b"],
@@ -1484,12 +1448,6 @@ def winnow_pairs_ds(
     P = _adaptive_pair_parts(ds, n_parts)
     fps = winnow_fingerprints(ds, k=k, w=w)
 
-    def _route(batch: pa.Table) -> pa.Table:
-        from indexer_ray.functions.hashing import key_partition
-
-        part = key_partition(batch.column("fp").to_numpy(zero_copy_only=False), P)
-        return batch.append_column("part", pa.array(part, type=pa.int32()))
-
     def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["fp", "doc_id"]).drop_duplicates(["fp", "doc_id"])
         fp = g["fp"].to_numpy(dtype=np.uint64)
@@ -1534,11 +1492,7 @@ def winnow_pairs_ds(
             )
         return pd.concat(frames, ignore_index=True) if frames else empty
 
-    raw_pairs = (
-        fps.map_batches(_route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(pairs_in_part, batch_format="pandas")
-    )
+    raw_pairs = routed_reduce(fps, ["fp"], P, pairs_in_part)
     counted = _dedup_pairs_regime(
         raw_pairs,
         ["doc_a", "doc_b"],
@@ -1817,31 +1771,17 @@ def cross_corpus_overlap_ds(
 
     P = _adaptive_pair_parts(corpus_ds, n_parts)
 
-    def _route_side(side: int):
-        def _route(batch: pa.Table) -> pa.Table:
-            from indexer_ray.functions.hashing import key_partition
+    def _fp_rows(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {"fp": batch.column("fp"), "doc_id": batch.column("doc_id").cast(pa.int64())}
+        )
 
-            part = key_partition(
-                batch.column("fp").to_numpy(zero_copy_only=False), P
-            )
-            n = len(part)
-            return pa.table(
-                {
-                    "fp": batch.column("fp"),
-                    "doc_id": batch.column("doc_id").cast(pa.int64()),
-                    "part": pa.array(part, type=pa.int32()),
-                    "side": pa.array(np.full(n, side, dtype=np.int8), type=pa.int8()),
-                }
-            )
-
-        return _route
-
-    corpus_fps = winnow_fingerprints(corpus_ds, k=k, w=w).map_batches(
-        _route_side(0), batch_format="pyarrow", zero_copy_batch=True
-    )
-    probe_fps = winnow_fingerprints(probe_ds, k=k, w=w).map_batches(
-        _route_side(1), batch_format="pyarrow", zero_copy_batch=True
-    )
+    sides = [  # side 0 = corpus, 1 = probe
+        winnow_fingerprints(d, k=k, w=w).map_batches(
+            _fp_rows, batch_format="pyarrow", zero_copy_batch=True
+        )
+        for d in (corpus_ds, probe_ds)
+    ]
 
     def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["fp", "side", "doc_id"]).drop_duplicates(
@@ -1905,11 +1845,7 @@ def cross_corpus_overlap_ds(
             )
         return pd.concat(frames, ignore_index=True) if frames else empty
 
-    raw = (
-        corpus_fps.union(probe_fps)
-        .groupby("part")
-        .map_groups(pairs_in_part, batch_format="pandas")
-    )
+    raw = routed_reduce(sides, ["fp"], P, pairs_in_part)
     counted = _dedup_pairs_regime(
         raw,
         ["doc_id", "probe_id"],
@@ -2059,8 +1995,6 @@ def exact_ngram_overlap(
     import ray
     import pyarrow.compute as pc
 
-    from indexer_ray.functions.hashing import key_partition
-
     eval_keys_ds = eval_ds.select_columns(["doc_id", "text"]).map_batches(
         _EvalGramKeys,
         fn_constructor_args=(n,),
@@ -2206,18 +2140,10 @@ def exact_ngram_overlap(
             }
         ).replace_schema_metadata(None)
 
-    def _doc_route(t: pa.Table) -> pa.Table:
-        part = key_partition(
-            t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64),
-            n_parts,
-        )
-        return t.append_column("dpart", pa.array(part, type=pa.int32()))
-
-    unioned = (
-        totals.map_batches(_tag_totals, batch_format="pyarrow")
-        .union(hit_counts.map_batches(_tag_hits, batch_format="pyarrow"))
-        .map_batches(_doc_route, batch_format="pyarrow")
-    )
+    sides = [
+        totals.map_batches(_tag_totals, batch_format="pyarrow"),
+        hit_counts.map_batches(_tag_hits, batch_format="pyarrow"),
+    ]
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -2245,7 +2171,7 @@ def exact_ngram_overlap(
             }
         )
 
-    return unioned.groupby("dpart").map_groups(_merge, batch_format="pandas")
+    return routed_reduce(sides, ["doc_id"], n_parts, _merge)
 
 
 class _EvalGramKeys(_WordGramStage):
@@ -2282,7 +2208,6 @@ def chunk_dedup_stats(ds, chunk_words: int = 20, n_parts: int = 32):
     0.8 s; the routed merge is the repo's standard discipline, see
     doc_unigram_nll/doc_keywords).  The shuffle moves one 28-byte row per
     chunk — never the text."""
-    from indexer_ray.functions.hashing import key_partition
 
     def _chunks(batch: pa.Table) -> pa.Table:
         ids_out, idx_out, his, los = [], [], [], []
@@ -2297,14 +2222,12 @@ def chunk_dedup_stats(ds, chunk_words: int = 20, n_parts: int = 32):
                 los.append(int.from_bytes(d[8:], "big", signed=True))
                 ids_out.append(doc_id)
                 idx_out.append(ci)
-        part = key_partition(np.array(his, dtype=np.int64).astype(np.uint64), n_parts)
         return pa.table(
             {
                 "doc_id": pa.array(ids_out, type=pa.int64()),
                 "chunk_idx": pa.array(idx_out, type=pa.int64()),
                 "hash_hi": pa.array(his, type=pa.int64()),
                 "hash_lo": pa.array(los, type=pa.int64()),
-                "part": pa.array(part, type=pa.int32()),
             }
         )
 
@@ -2316,13 +2239,9 @@ def chunk_dedup_stats(ds, chunk_words: int = 20, n_parts: int = 32):
         out = g.assign(dup=dup.astype("int64")).groupby("doc_id", as_index=False).agg(
             n_chunks=("dup", "size"), n_dup_chunks=("dup", "sum")
         )
-        out = out.astype(
+        return out.astype(
             {"doc_id": "int64", "n_chunks": "int64", "n_dup_chunks": "int64"}
         )
-        out["dpart"] = key_partition(
-            out["doc_id"].to_numpy().astype(np.uint64), n_parts
-        ).astype("int32")
-        return out
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
         doc = g["doc_id"].to_numpy()
@@ -2341,14 +2260,10 @@ def chunk_dedup_stats(ds, chunk_words: int = 20, n_parts: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(_chunks, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=2048)
-        .groupby("part")
-        .map_groups(_census, batch_format="pandas")
-        .groupby("dpart")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    chunks = ds.map_batches(_chunks, batch_format="pyarrow",
+        zero_copy_batch=True, batch_size=2048)
+    census = routed_reduce(chunks, ["hash_hi"], n_parts, _census)
+    return routed_reduce(census, ["doc_id"], n_parts, _merge)
 
 
 # ------------------------------------------- exact substring dedup census
@@ -2380,9 +2295,8 @@ class _GramHashStage:
     per corpus character through the shuffle, never the text.  Power
     tables are actor state, grown by doubling on demand."""
 
-    def __init__(self, min_len: int, n_parts: int):
+    def __init__(self, min_len: int):
         self.L = min_len
-        self.P = n_parts
         self.pow_b: list[np.ndarray] = []
         self.pow_binv: list[np.ndarray] = []
         for m, b in _SUBH:
@@ -2418,8 +2332,6 @@ class _GramHashStage:
         return hs[0] * np.uint64(_SUBH[1][0]) + hs[1]  # < 2^62
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from indexer_ray.functions.hashing import key_partition
-
         ids, keys, poss = [], [], []
         for doc_id, t in zip(
             batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
@@ -2435,16 +2347,13 @@ class _GramHashStage:
                     "key": pa.array([], type=pa.uint64()),
                     "doc_id": pa.array([], type=pa.int64()),
                     "pos": pa.array([], type=pa.int32()),
-                    "part": pa.array([], type=pa.int32()),
                 }
             )
-        key = np.concatenate(keys)
         return pa.table(
             {
-                "key": pa.array(key, type=pa.uint64()),
+                "key": pa.array(np.concatenate(keys), type=pa.uint64()),
                 "doc_id": pa.array(np.concatenate(ids), type=pa.int64()),
                 "pos": pa.array(np.concatenate(poss), type=pa.int32()),
-                "part": pa.array(key_partition(key, self.P), type=pa.int32()),
             }
         )
 
@@ -2475,8 +2384,6 @@ def substring_dup_stats(ds, min_len: int = 25, n_parts: int | None = None):
     per document, including zero-duplicate docs."""
     import pyarrow.compute as pc
 
-    from indexer_ray.functions.hashing import key_partition
-
     L = min_len
     # shuffle width tracks corpus size (same rationale as
     # _adaptive_pair_parts: a 32-way sort of a toy corpus pays fixed
@@ -2490,7 +2397,7 @@ def substring_dup_stats(ds, min_len: int = 25, n_parts: int | None = None):
 
     grams = ds.select_columns(["doc_id", "text"]).map_batches(
         _GramHashStage,
-        fn_constructor_args=(L, n_parts),
+        fn_constructor_args=(L,),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=1024,
@@ -2499,15 +2406,9 @@ def substring_dup_stats(ds, min_len: int = 25, n_parts: int | None = None):
 
     def _dup_positions(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
-            {"doc_id": [], "pos": [], "n_chars": [], "n_grams": [], "tag": []}
+            {"doc_id": [], "pos": [], "n_chars": [], "n_grams": []}
         ).astype(
-            {
-                "doc_id": "int64",
-                "pos": "int32",
-                "n_chars": "int64",
-                "n_grams": "int64",
-                "tag": "int8",
-            }
+            {"doc_id": "int64", "pos": "int32", "n_chars": "int64", "n_grams": "int64"}
         )
         if not len(g):
             return empty
@@ -2526,7 +2427,6 @@ def substring_dup_stats(ds, min_len: int = 25, n_parts: int | None = None):
                 "pos": g["pos"].to_numpy()[sel].astype("int32"),
                 "n_chars": np.zeros(len(sel), dtype=np.int64),
                 "n_grams": np.zeros(len(sel), dtype=np.int64),
-                "tag": np.zeros(len(sel), dtype=np.int8),
             }
         )
 
@@ -2547,38 +2447,17 @@ def substring_dup_stats(ds, min_len: int = 25, n_parts: int | None = None):
                 "n_grams": pa.array(
                     np.maximum(n_chars - L + 1, 0), type=pa.int64()
                 ),
-                "tag": pa.array(np.ones(len(doc), dtype=np.int8), type=pa.int8()),
             }
         )
 
-    def _doc_route(batch: pa.Table) -> pa.Table:
-        part = key_partition(
-            batch.column("doc_id").to_numpy(zero_copy_only=False).astype(
-                np.uint64
-            ),
-            n_parts,
-        )
-        return batch.append_column("dpart", pa.array(part, type=pa.int32()))
-
-    base = ds.select_columns(["doc_id", "text"]).map_batches(
-        _base, batch_format="pyarrow", zero_copy_batch=True
-    )
-    dups = grams.groupby("part").map_groups(
-        _dup_positions, batch_format="pandas"
-    )
-    # tagged union (base rows tag=1, dup-position rows tag=0) — one
-    # doc-routed groupby merges both sides without a join.  The pandas
-    # map_groups blocks pick up pandas schema metadata on the arrow
-    # conversion; strip it or the downstream sort's schema dedup is
-    # defeated (unhashable-dict warnings, driver metadata bloat).
-    unioned = base.union(
-        dups.map_batches(
-            lambda t: t.select(
-                ["doc_id", "pos", "n_chars", "n_grams", "tag"]
-            ).replace_schema_metadata(None),
-            batch_format="pyarrow",
-        )
-    ).map_batches(_doc_route, batch_format="pyarrow", zero_copy_batch=True)
+    # side 0 = per-doc base stats, side 1 = dup positions: one doc-routed
+    # reduce merges both without a join
+    sides = [
+        ds.select_columns(["doc_id", "text"]).map_batches(
+            _base, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        routed_reduce(grams, ["key"], n_parts, _dup_positions),
+    ]
 
     def _census(g: pd.DataFrame) -> pd.DataFrame:
         out_empty = pd.DataFrame(
@@ -2592,8 +2471,8 @@ def substring_dup_stats(ds, min_len: int = 25, n_parts: int | None = None):
         ).astype("int64")
         if not len(g):
             return out_empty
-        basef = g[g["tag"] == 1]
-        dupf = g[g["tag"] == 0]
+        basef = g[g["side"] == 0]
+        dupf = g[g["side"] == 1]
         doc = dupf["doc_id"].to_numpy(dtype=np.int64)
         pos = dupf["pos"].to_numpy(dtype=np.int64)
         order = np.lexsort((pos, doc))
@@ -2622,7 +2501,7 @@ def substring_dup_stats(ds, min_len: int = 25, n_parts: int | None = None):
         )
         return out.astype("int64")
 
-    return unioned.groupby("dpart").map_groups(_census, batch_format="pandas")
+    return routed_reduce(sides, ["doc_id"], n_parts, _census)
 
 
 def drop_duplicate_substrings(
@@ -2650,8 +2529,6 @@ def drop_duplicate_substrings(
 
     Output: (doc_id, text, n_removed) — text with the spans cut,
     n_removed = characters deleted; one row per input document."""
-    from indexer_ray.functions.hashing import key_partition
-
     L = min_len
     n_parts = (
         n_parts
@@ -2661,7 +2538,7 @@ def drop_duplicate_substrings(
 
     grams = ds.select_columns(["doc_id", "text"]).map_batches(
         _GramHashStage,
-        fn_constructor_args=(L, n_parts),
+        fn_constructor_args=(L,),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=1024,
@@ -2715,30 +2592,12 @@ def drop_duplicate_substrings(
             }
         )
 
-    def _doc_route(batch: pa.Table) -> pa.Table:
-        part = key_partition(
-            batch.column("doc_id")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.uint64),
-            n_parts,
-        )
-        return batch.append_column("dpart", pa.array(part, type=pa.int32()))
-
-    base = ds.select_columns(["doc_id", "text"]).map_batches(
-        _base, batch_format="pyarrow", zero_copy_batch=True
-    )
-    marked = grams.groupby("part").map_groups(_marked, batch_format="pandas")
-    unioned = (
-        base.union(
-            marked.map_batches(
-                lambda t: t.select(
-                    ["doc_id", "pos", "text"]
-                ).replace_schema_metadata(None),
-                batch_format="pyarrow",
-            )
-        )
-        .map_batches(_doc_route, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    sides = [
+        ds.select_columns(["doc_id", "text"]).map_batches(
+            _base, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        routed_reduce(grams, ["key"], n_parts, _marked),
+    ]
 
     def _cut(g: pd.DataFrame):
         if not len(g):
@@ -2791,7 +2650,7 @@ def drop_duplicate_substrings(
             }
         )
 
-    return unioned.groupby("dpart").map_groups(_cut, batch_format="pandas")
+    return routed_reduce(sides, ["doc_id"], n_parts, _cut)
 
 
 def bloom_dedup_census(
@@ -2823,7 +2682,6 @@ def bloom_dedup_census(
     no per-unit loop.
 
     Output: (doc_id, n_units, n_dup_units, n_bloom_dup_units)."""
-    from indexer_ray.functions.hashing import key_partition
 
     def _units(batch: pa.Table) -> pa.Table:
         import hashlib
@@ -2846,16 +2704,12 @@ def bloom_dedup_census(
                 los.append(int.from_bytes(d[8:], "big", signed=True))
                 ids_out.append(doc_id)
                 idx_out.append(ci)
-        part = key_partition(
-            np.array(his, dtype=np.int64).astype(np.uint64), n_parts
-        )
         return pa.table(
             {
                 "doc_id": pa.array(ids_out, type=pa.int64()),
                 "unit_idx": pa.array(idx_out, type=pa.int64()),
                 "hash_hi": pa.array(his, type=pa.int64()),
                 "hash_lo": pa.array(los, type=pa.int64()),
-                "part": pa.array(part, type=pa.int32()),
             }
         )
 
@@ -2863,16 +2717,8 @@ def bloom_dedup_census(
 
     def _shard_census(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
-            {"doc_id": [], "n_units": [], "n_dup": [], "n_bloom": [], "dpart": []}
-        ).astype(
-            {
-                "doc_id": "int64",
-                "n_units": "int64",
-                "n_dup": "int64",
-                "n_bloom": "int64",
-                "dpart": "int32",
-            }
-        )
+            {"doc_id": [], "n_units": [], "n_dup": [], "n_bloom": []}
+        ).astype("int64")
         if not len(g):
             return empty
         g = g.sort_values(["doc_id", "unit_idx"], kind="mergesort")
@@ -2900,7 +2746,7 @@ def bloom_dedup_census(
         )
         doc = g["doc_id"].to_numpy(dtype=np.int64)
         dstart = np.flatnonzero(np.r_[True, doc[1:] != doc[:-1]])
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": doc[dstart],
                 "n_units": np.diff(np.r_[dstart, n]).astype("int64"),
@@ -2908,10 +2754,6 @@ def bloom_dedup_census(
                 "n_bloom": np.add.reduceat(bloom.astype(np.int64), dstart),
             }
         )
-        out["dpart"] = key_partition(
-            out["doc_id"].to_numpy().astype(np.uint64), n_parts
-        ).astype("int32")
-        return out
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
         doc = g["doc_id"].to_numpy()
@@ -2933,16 +2775,12 @@ def bloom_dedup_census(
             }
         )
 
-    return (
-        ds.select_columns(["doc_id", "text"])
-        .map_batches(
-            _units, batch_format="pyarrow", zero_copy_batch=True, batch_size=2048
-        )
-        .groupby("part")
-        .map_groups(_shard_census, batch_format="pandas")
-        .groupby("dpart")
-        .map_groups(_merge, batch_format="pandas")
+    units = ds.select_columns(["doc_id", "text"]).map_batches(
+        _units, batch_format="pyarrow", zero_copy_batch=True, batch_size=2048
     )
+    # one Bloom shard per reduce partition of the unit's content hash
+    census = routed_reduce(units, ["hash_hi"], n_parts, _shard_census)
+    return routed_reduce(census, ["doc_id"], n_parts, _merge)
 
 
 def _dedup_unit_engine(ds, split_units, unit_sep, n_parts, broadcast_threshold):
@@ -2962,8 +2800,6 @@ def _dedup_unit_engine(ds, split_units, unit_sep, n_parts, broadcast_threshold):
     import ray
     import ray.data as rd
 
-    from indexer_ray.functions.hashing import key_partition
-
     def _units(batch: pa.Table) -> pa.Table:
         ids_out, idx_out, his, los = [], [], [], []
         for doc_id, t in zip(
@@ -2977,14 +2813,12 @@ def _dedup_unit_engine(ds, split_units, unit_sep, n_parts, broadcast_threshold):
                 los.append(int.from_bytes(d[8:], "big", signed=True))
                 ids_out.append(doc_id)
                 idx_out.append(ui)
-        part = key_partition(np.array(his, dtype=np.int64).astype(np.uint64), n_parts)
         return pa.table(
             {
                 "doc_id": pa.array(ids_out, type=pa.int64()),
                 "chunk_idx": pa.array(idx_out, type=pa.int64()),
                 "hash_hi": pa.array(his, type=pa.int64()),
                 "hash_lo": pa.array(los, type=pa.int64()),
-                "part": pa.array(part, type=pa.int32()),
             }
         )
 
@@ -2997,13 +2831,9 @@ def _dedup_unit_engine(ds, split_units, unit_sep, n_parts, broadcast_threshold):
             {"doc_id": "int64", "chunk_idx": "int64"}
         )
 
-    drops = (
-        ds.map_batches(_units, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=2048)
-        .groupby("part")
-        .map_groups(_drops, batch_format="pandas")
-        .materialize()
-    )
+    units = ds.map_batches(_units, batch_format="pyarrow",
+        zero_copy_batch=True, batch_size=2048)
+    drops = routed_reduce(units, ["hash_hi"], n_parts, _drops).materialize()
 
     def _rebuild_tbl(batch: pa.Table, drop_of) -> pa.Table:
         ids_out, texts, ndrop = [], [], []

@@ -25,66 +25,37 @@ judgments emit n_rel 0.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from indexer_ray.functions.hashing import key_partition
+from indexer_ray.stages.shuffle import routed_reduce
 
 _RR_SCALE = 10**9
 
 
-def _route(tag: int, cols: list[str], n_parts: int):
-    def _f(t: pa.Table) -> pa.Table:
-        q = t.column("query_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        h = np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.blake2b(int(x).to_bytes(8, "big"), digest_size=8).digest(),
-                    "big",
-                )
-                for x in q
-            ),
-            dtype=np.uint64,
-            count=len(q),
-        )
-        out = {
-            "query_id": pa.array(q, type=pa.int64()),
-            "doc_id": pa.array(
-                t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64),
-                type=pa.int64(),
-            ),
-            "rank": pa.array(
-                t.column("rank").to_numpy(zero_copy_only=False).astype(np.int64)
-                if "rank" in cols
-                else np.full(len(q), -1, dtype=np.int64),
-                type=pa.int64(),
-            ),
-            "tag": pa.array(np.full(len(q), tag, dtype=np.int8)),
-            "part": pa.array(key_partition(h, n_parts), type=pa.int32()),
-        }
-        return pa.table(out)
+def _project(t: pa.Table) -> pa.Table:
+    """(query_id, doc_id, rank) as int64; rank -1 on judgment rows."""
 
-    return _f
+    def i64(c: str) -> np.ndarray:
+        return t.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+
+    rank = i64("rank") if "rank" in t.schema.names else np.full(t.num_rows, -1, dtype=np.int64)
+    return pa.table({"query_id": i64("query_id"), "doc_id": i64("doc_id"), "rank": rank})
 
 
 def eval_retrieval(results, qrels, k: int = 10, n_parts: int = 32):
     """Per-query integer-exact retrieval metrics; see module docstring.
     Output: (query_id, n_rel, hits_at_k, first_rank, rr_q)."""
 
-    tagged = results.map_batches(
-        _route(0, ["query_id", "doc_id", "rank"], n_parts), batch_format="pyarrow"
-    ).union(
-        qrels.map_batches(
-            _route(1, ["query_id", "doc_id"], n_parts), batch_format="pyarrow"
-        )
-    )
+    sides = [
+        results.map_batches(_project, batch_format="pyarrow"),
+        qrels.map_batches(_project, batch_format="pyarrow"),
+    ]
 
     def _metrics(g: pd.DataFrame) -> pd.DataFrame:
-        res = g[g["tag"] == 0]
-        rel = g[g["tag"] == 1]
+        res = g[g["side"] == 0]
+        rel = g[g["side"] == 1]
         n_rel = rel.groupby("query_id")["doc_id"].nunique()
         # relevant results: inner merge on (query_id, doc_id)
         hit = res.merge(
@@ -110,7 +81,7 @@ def eval_retrieval(results, qrels, k: int = 10, n_parts: int = 32):
             }
         )
 
-    return tagged.groupby("part").map_groups(_metrics, batch_format="pandas")
+    return routed_reduce(sides, ["query_id"], n_parts, _metrics)
 
 
 def mine_hard_negatives(

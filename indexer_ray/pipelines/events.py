@@ -15,6 +15,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from indexer_ray.stages.shuffle import routed_reduce
+
 
 def _tumble_batch(batch: pa.Table, window: str) -> pa.Table:
     ts = batch.column("ts")
@@ -136,25 +138,6 @@ def extract_props_key(events_ds, key: str = "k"):
 _SESS_PARTITIONS = 64
 
 
-def _route_users(batch: pa.Table, n_parts: int) -> pa.Table:
-    """Hash-route events into user-complete partitions — the shared
-    blocking step of sessionize / user_event_deltas (one vectorized pass
-    per PARTITION downstream; no single user ever spans partitions)."""
-    from indexer_ray.functions.hashing import key_partition
-
-    part = key_partition(
-        batch.column("user_id").to_numpy(zero_copy_only=False), n_parts
-    )
-    return pa.table(
-        {
-            "part": pa.array(part, type=pa.int32()),
-            "user_id": batch.column("user_id"),
-            "event_id": batch.column("event_id"),
-            "ts": batch.column("ts"),
-        }
-    )
-
-
 def user_event_deltas(events_ds, n_parts: int = _SESS_PARTITIONS):
     """Per-user lag features: for every event, the previous event by the
     same user in (ts, event_id) order and the elapsed microseconds since it
@@ -195,11 +178,8 @@ def user_event_deltas(events_ds, n_parts: int = _SESS_PARTITIONS):
             }
         )
 
-    return (
-        events_ds.map_batches(lambda b: _route_users(b, n_parts),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=8192)
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+    return routed_reduce(
+        events_ds.select_columns(["user_id", "event_id", "ts"]), ["user_id"], n_parts, per_part
     )
 
 
@@ -211,8 +191,7 @@ def sessionize(events_ds, gap_minutes: float = 30.0, n_parts: int = _SESS_PARTIT
     Users are hash-routed into `n_parts` partitions and each partition runs
     ONE vectorized sort+diff+cumsum pass over all of its users — not one
     pandas call per user (per-group map_groups overhead dominates at
-    millions of tiny user groups; same blocking pattern as dedup's
-    `_add_bucket_part`).  Partitioning assumption: one PARTITION's events
+    millions of tiny user groups; `stages.shuffle.routed_reduce`).  Partitioning assumption: one PARTITION's events
     fit one task (tune n_parts upward with event volume); no single user
     ever spans partitions."""
 
@@ -254,11 +233,8 @@ def sessionize(events_ds, gap_minutes: float = 30.0, n_parts: int = _SESS_PARTIT
             }
         )
 
-    return (
-        events_ds.map_batches(lambda b: _route_users(b, n_parts),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=8192)
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+    return routed_reduce(
+        events_ds.select_columns(["user_id", "event_id", "ts"]), ["user_id"], n_parts, per_part
     )
 
 
@@ -277,8 +253,6 @@ def window_distinct_users(events_ds, window: str = "hour"):
     sort-groupby pathology the chunk-census fix measured at 10x).
     Exact and order-independent, so SQL count(DISTINCT ...) is the
     oracle."""
-    from indexer_ray.functions.hashing import key_partition
-
     n_parts = 32
 
     def _pairs(batch: pa.Table) -> pa.Table:
@@ -290,12 +264,10 @@ def window_distinct_users(events_ds, window: str = "hour"):
         )
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)
         df = pd.DataFrame({"w_us": bucket, "user_id": uid}).drop_duplicates()
-        part = key_partition(df["w_us"].to_numpy().astype(np.uint64), n_parts)
         return pa.table(
             {
                 "w_us": pa.array(df["w_us"].to_numpy(), type=pa.int64()),
                 "user_id": pa.array(df["user_id"].to_numpy(), type=pa.int64()),
-                "part": pa.array(part, type=pa.int32()),
             }
         )
 
@@ -308,12 +280,9 @@ def window_distinct_users(events_ds, window: str = "hour"):
         )
         return out.astype({"w_us": "int64", "n_users": "int64"})
 
-    agg = (
-        events_ds.map_batches(_pairs, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=8192)
-        .groupby("part")
-        .map_groups(_count, batch_format="pandas")
-    )
+    pairs = events_ds.map_batches(_pairs, batch_format="pyarrow",
+        zero_copy_batch=True, batch_size=8192)
+    agg = routed_reduce(pairs, ["w_us"], n_parts, _count)
 
     def _fix(b: pa.Table) -> pa.Table:
         return pa.table(

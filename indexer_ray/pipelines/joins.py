@@ -19,29 +19,22 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from indexer_ray.functions.hashing import key_partition
+from indexer_ray.stages.shuffle import routed_reduce
 
 _JOIN_PARTITIONS = 64
 
 
-def _route(n_parts: int, side: int, columns: dict[str, str], extra: dict[str, str] | None = None):
-    """Routing-stage factory: hash user_id -> part, tag the side, rename
-    `columns` (out_name <- in_name).  One definition for asof left/right
-    and interval left/intervals sides."""
+def _project(ds, columns: dict[str, str]):
+    """user_id plus `columns` (out_name <- in_name): one schema for both
+    sides of asof and interval joins."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        part = key_partition(uid, n_parts)
-        cols = {
-            "part": pa.array(part, type=pa.int32()),
-            "side": pa.array(np.full(len(uid), side, dtype=np.int8), type=pa.int8()),
-            "user_id": batch.column("user_id"),
-        }
+        cols = {"user_id": batch.column("user_id")}
         for out_name, in_name in columns.items():
             cols[out_name] = batch.column(in_name)
         return pa.table(cols)
 
-    return fn
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=8192)
 
 
 def asof_join(left_ds, right_ds, n_parts: int = _JOIN_PARTITIONS):
@@ -58,13 +51,7 @@ def asof_join(left_ds, right_ds, n_parts: int = _JOIN_PARTITIONS):
     maximum-accumulate forward-fills the latest right row index within
     each user run — O(n log n) per partition, no per-key loop."""
     cols = {"event_id": "event_id", "ts": "ts"}
-    tagged = left_ds.map_batches(
-        _route(n_parts, 1, cols), batch_format="pyarrow", zero_copy_batch=True, batch_size=8192
-    ).union(
-        right_ds.map_batches(
-            _route(n_parts, 0, cols), batch_format="pyarrow", zero_copy_batch=True, batch_size=8192
-        )
-    )
+    sides = [_project(right_ds, cols), _project(left_ds, cols)]  # side 0 = right
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         # sort: right (side=0) before left at equal (user, ts) -> a right
@@ -105,7 +92,7 @@ def asof_join(left_ds, right_ds, n_parts: int = _JOIN_PARTITIONS):
             }
         )
 
-    return tagged.groupby("part").map_groups(per_part, batch_format="pandas")
+    return routed_reduce(sides, ["user_id"], n_parts, per_part)
 
 
 def interval_join(left_ds, intervals_ds, n_parts: int = _JOIN_PARTITIONS):
@@ -118,16 +105,11 @@ def interval_join(left_ds, intervals_ds, n_parts: int = _JOIN_PARTITIONS):
     ts, forward-fill the latest interval start, then a single vectorized
     end-bound check decides containment."""
 
-    tagged = left_ds.map_batches(
+    sides = [  # side 0 = intervals
+        _project(intervals_ds, {"row_id": "interval_id", "ts": "start_ts", "end_ts": "end_ts"}),
         # end_ts <- ts on left rows: unused placeholder, keeps schemas equal
-        _route(n_parts, 1, {"row_id": "event_id", "ts": "ts", "end_ts": "ts"}),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=8192,
-    ).union(
-        intervals_ds.map_batches(
-            _route(n_parts, 0, {"row_id": "interval_id", "ts": "start_ts", "end_ts": "end_ts"}),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=8192,
-        )
-    )
+        _project(left_ds, {"row_id": "event_id", "ts": "ts", "end_ts": "ts"}),
+    ]
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "side", "row_id"], kind="mergesort")
@@ -162,4 +144,4 @@ def interval_join(left_ds, intervals_ds, n_parts: int = _JOIN_PARTITIONS):
             }
         )
 
-    return tagged.groupby("part").map_groups(per_part, batch_format="pandas")
+    return routed_reduce(sides, ["user_id"], n_parts, per_part)

@@ -30,6 +30,8 @@ from urllib.parse import urljoin, urlparse
 import numpy as np
 import pyarrow as pa
 
+from indexer_ray.stages.shuffle import routed_reduce
+
 _SKIP_SCHEMES = ("javascript:", "mailto:", "data:", "tel:")
 
 
@@ -760,8 +762,6 @@ def crawl_frontier(
     import pyarrow.compute as pc
 
     from indexer_ray.pipelines.urls import _canon_one
-    from indexer_ray.functions.hashing import key_partition
-    import hashlib as _hl
 
     def _canon_batch(t: pa.Table) -> pa.Table:
         canon = [_canon_one(u or "") for u in t.column("dst_url").to_pylist()]
@@ -824,47 +824,17 @@ def crawl_frontier(
         out = cands.map_batches(_drop_seen, batch_format="pyarrow")
     else:
         # routed-partition anti-join: one vectorized isin per partition
-        def _route(tag):
-            def _f(t: pa.Table) -> pa.Table:
-                urls = t.column("url").to_pylist()
-                h = np.fromiter(
-                    (
-                        int.from_bytes(
-                            _hl.blake2b(u.encode(), digest_size=8).digest(), "big"
-                        )
-                        for u in urls
-                    ),
-                    dtype=np.uint64,
-                    count=len(urls),
-                )
-                cols = {
-                    "url": pa.array(urls, type=pa.string()),
-                    "host": (
-                        t.column("host")
-                        if "host" in t.schema.names
-                        else pa.array([""] * len(urls), type=pa.string())
-                    ),
-                    "tag": pa.array(
-                        np.full(len(urls), tag, dtype=np.int8)
-                    ),
-                    "part": pa.array(
-                        key_partition(h, n_parts), type=pa.int32()
-                    ),
-                }
-                return pa.table(cols)
-
-            return _f
-
-        tagged = cands.map_batches(_route(0), batch_format="pyarrow").union(
-            seen_canon.map_batches(_route(1), batch_format="pyarrow")
+        seen_hosted = seen_canon.map_batches(
+            lambda t: t.append_column("host", pa.array([""] * t.num_rows, type=pa.string())),
+            batch_format="pyarrow",
         )
 
         def _anti(g: pd.DataFrame) -> pd.DataFrame:
-            seen = set(g.loc[g["tag"] == 1, "url"])
-            keep = g[(g["tag"] == 0) & ~g["url"].isin(seen)]
+            seen = set(g.loc[g["side"] == 1, "url"])
+            keep = g[(g["side"] == 0) & ~g["url"].isin(seen)]
             return keep[["url", "host"]]
 
-        out = tagged.groupby("part").map_groups(_anti, batch_format="pandas")
+        out = routed_reduce([cands, seen_hosted], ["url"], n_parts, _anti)
 
     if per_host_cap:
         from indexer_ray.pipelines.sampling import cap_per_group
@@ -900,11 +870,7 @@ def anchor_texts(
     count (no-silent-caps discipline).  Output:
     (dst_url, anchor_text, n_anchors) — feed the text column straight
     into build_index for an anchor-text index."""
-    import hashlib as _hl
-
     import pandas as pd
-
-    from indexer_ray.functions.hashing import key_partition
 
     def _anchors(t: pa.Table) -> pa.Table:
         dsts, srcs, idxs, texts = [], [], [], []
@@ -917,21 +883,12 @@ def anchor_texts(
                 srcs.append(u)
                 idxs.append(i)
                 texts.append(text)
-        hsh = np.fromiter(
-            (
-                int.from_bytes(_hl.blake2b(d.encode(), digest_size=8).digest(), "big")
-                for d in dsts
-            ),
-            dtype=np.uint64,
-            count=len(dsts),
-        )
         return pa.table(
             {
                 "dst_url": pa.array(dsts, type=pa.string()),
                 "src_url": pa.array(srcs, type=pa.string()),
                 "idx": pa.array(idxs, type=pa.int64()),
                 "text": pa.array(texts, type=pa.string()),
-                "part": pa.array(key_partition(hsh, n_parts), type=pa.int32()),
             }
         )
 
@@ -948,8 +905,5 @@ def anchor_texts(
         out["n_anchors"] = true_counts.loc[out["dst_url"]].to_numpy().astype("int64")
         return out[["dst_url", "anchor_text", "n_anchors"]]
 
-    return (
-        ds.map_batches(_anchors, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_agg, batch_format="pandas")
-    )
+    anchors = ds.map_batches(_anchors, batch_format="pyarrow")
+    return routed_reduce(anchors, ["dst_url"], n_parts, _agg)

@@ -53,26 +53,37 @@ class _TermBlocks:
     ``decoded`` lazily caches the fully-decoded (doc_ids, tfs, dls) arrays —
     hot Zipf-head terms are decoded once per searcher, not once per query;
     ``dec_blocks`` is the per-BLOCK analogue for the WAND path, which only
-    touches the blocks its upper bounds can't skip (both caches live inside
-    the 24-bytes-per-posting share `_tb_size` already charges to the
-    searcher's block-LRU budget)."""
+    touches the blocks its upper bounds can't skip.  Once ``decoded`` is
+    set, block reads are slices of it and ``dec_blocks`` is emptied, so a
+    term never holds two decoded copies: the 24-bytes-per-posting share
+    `_tb_size` charges to the searcher's block-LRU budget covers both."""
 
-    __slots__ = ("term", "df", "first", "last", "n", "max_tf", "min_dl", "payloads", "decoded", "dec_blocks")
+    __slots__ = (
+        "term", "df", "first", "last", "n", "max_tf", "min_dl", "payloads",
+        "decoded", "starts", "dec_blocks",
+    )
 
     def __init__(self, term, df, first, last, n, max_tf, min_dl, payloads):
         self.term, self.df = term, df
         self.first, self.last, self.n = first, last, n
         self.max_tf, self.min_dl, self.payloads = max_tf, min_dl, payloads
-        self.decoded = None
+        self.decoded = self.starts = None
         self.dec_blocks: dict[int, tuple] = {}
 
     def decode_all(self):
         if self.decoded is None:
-            doc_ids, tfs, dls, _ = decode_blocks(self.payloads, self.n, self.first)
+            # starts[b] = first posting of block b: cumsum(n), once per term
+            doc_ids, tfs, dls, self.starts = decode_blocks(self.payloads, self.n, self.first)
             self.decoded = (doc_ids, tfs, dls)
+            self.dec_blocks.clear()
         return self.decoded
 
     def decode_block(self, cur: int):
+        if self.decoded is not None:
+            lo = self.starts[cur]
+            hi = lo + self.n[cur]
+            doc_ids, tfs, dls = self.decoded
+            return doc_ids[lo:hi], tfs[lo:hi], dls[lo:hi]
         raw = self.dec_blocks.get(cur)
         if raw is None:
             doc_ids, tfs, dls, _ = decode_blocks(
@@ -778,7 +789,7 @@ def doc_keywords(index_dir: str, m: int = 3, n_parts: int = 64):
     import ray
     import ray.data as rd
 
-    from indexer_ray.functions.hashing import key_partition
+    from indexer_ray.stages.shuffle import routed_reduce
 
     manifest = IndexManifest.load(index_dir)
     n_docs = manifest.n_docs
@@ -844,12 +855,6 @@ def doc_keywords(index_dir: str, m: int = 3, n_parts: int = 64):
         [{"part_id": k} for k in range(manifest.n_partitions)]
     ).map_batches(_score_part, batch_format="pyarrow", batch_size=1)
 
-    def _route(batch: pa.Table) -> pa.Table:
-        part = key_partition(
-            batch.column("doc_id").to_numpy(zero_copy_only=False), n_parts
-        )
-        return batch.append_column("part", pa.array(part, type=pa.int32()))
-
     def _merge(g: "pd.DataFrame") -> "pd.DataFrame":
         doc = g["doc_id"].to_numpy()
         sq = g["score_q"].to_numpy()
@@ -870,11 +875,7 @@ def doc_keywords(index_dir: str, m: int = 3, n_parts: int = 64):
             }
         )
 
-    return (
-        cands.map_batches(_route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return routed_reduce(cands, ["doc_id"], n_parts, _merge)
 
 
 def search_snippets(
@@ -1114,13 +1115,7 @@ def doc_unigram_nll(index_dir: str, n_parts: int = 64):
     # each (Ray's sort-based groupby().aggregate() over n_docs tiny keys
     # measured 5x superlinear at a 25k->100k-doc probe; the routed merge
     # is the repo's standard discipline — see doc_keywords/sessionize)
-    from indexer_ray.functions.hashing import key_partition
-
-    def _route(batch: pa.Table) -> pa.Table:
-        part = key_partition(
-            batch.column("doc_id").to_numpy(zero_copy_only=False), n_parts
-        )
-        return batch.append_column("part", pa.array(part, type=pa.int32()))
+    from indexer_ray.stages.shuffle import routed_reduce
 
     def _merge(g):
         doc = g["doc_id"].to_numpy()
@@ -1140,11 +1135,7 @@ def doc_unigram_nll(index_dir: str, n_parts: int = 64):
             }
         )
 
-    return (
-        partials.map_batches(_route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return routed_reduce(partials, ["doc_id"], n_parts, _merge)
 
 
 def proximity_topk(searcher: "IndexSearcher", docs_ds, query: str, k: int = 10):

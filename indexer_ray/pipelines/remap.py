@@ -244,7 +244,8 @@ def remap_docids(
         routed.write_parquet(raw_root, partition_cols=["part_id"])
         if join_regime and total_postings:
             # the inner join silently DROPS a posting whose doc_id is
-            # missing from the docmap; make the regimes consistent with
+            # missing from the docmap (and repeats one whose old id is
+            # duplicated there); make the regimes consistent with
             # the broadcast path's eager RuntimeError by comparing the
             # written row count (parquet footer metadata only — no data
             # read) against the manifest's posting total
@@ -255,8 +256,13 @@ def remap_docids(
                 if f.endswith(".parquet")
             )
             if written != total_postings:
+                cause = (
+                    "duplicate old doc_id in docmap"
+                    if written > total_postings
+                    else "posting doc_id missing from docmap"
+                )
                 raise RuntimeError(
-                    "remap_docids: posting doc_id missing from docmap "
+                    f"remap_docids: {cause} "
                     f"(joined {written} of {total_postings} postings)"
                 )
         progress["phase1_complete"] = True

@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from indexer_ray.stages.shuffle import routed_reduce
+
 _KNUTH = np.uint64(2654435761)
 _M32 = np.uint64(0xFFFFFFFF)
 _BUCKETS = 10_000
@@ -75,29 +77,6 @@ def hash_sample(ds, fraction: float, id_col: str = "doc_id"):
         zero_copy_batch=True, batch_size=8192)
 
 
-def _group_parts(group_arr: "pa.Array", n_parts: int) -> np.ndarray:
-    """Partition id per row from a blake2b-64 hash of the GROUP value —
-    the shared group-routing step of cap_per_group / sample_per_group
-    (hash once per UNIQUE value via dictionary encoding, never per row)."""
-    import hashlib
-
-    from indexer_ray.functions.hashing import key_partition
-
-    enc = group_arr.combine_chunks().dictionary_encode()
-    uniq_h = np.array(
-        [
-            int.from_bytes(
-                hashlib.blake2b(str(v).encode("utf-8"), digest_size=8).digest(),
-                "big",
-            )
-            for v in enc.dictionary.to_pylist()
-        ],
-        dtype=np.uint64,
-    )
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    return key_partition(uniq_h, n_parts)[codes]
-
-
 def cap_per_group(ds, cap: int, group_col: str = "source",
                   id_col: str = "doc_id", n_parts: int = 32):
     """Keep at most `cap` rows per group, deterministically: the survivors
@@ -118,27 +97,12 @@ def cap_per_group(ds, cap: int, group_col: str = "source",
     groups at web scale are domains (<= ~10^8 rows), which fit a task."""
     import pandas as pd
 
-    def _route(t: pa.Table) -> pa.Table:
-        part = _group_parts(t.column(group_col), n_parts)
-        return pa.table(
-            {
-                id_col: t.column(id_col),
-                group_col: t.column(group_col),
-                "part": pa.array(part, type=pa.int32()),
-            }
-        )
-
     def _cap(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([group_col, id_col], kind="mergesort")
         keep = g.groupby(group_col, sort=False).cumcount() < cap
         return g.loc[keep, [id_col, group_col]]
 
-    return (
-        ds.map_batches(_route, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=8192)
-        .groupby("part")
-        .map_groups(_cap, batch_format="pandas")
-    )
+    return routed_reduce(ds.select_columns([id_col, group_col]), [group_col], n_parts, _cap)
 
 
 def sample_per_group(ds, k: int, group_col: str = "source",
@@ -168,13 +132,11 @@ def sample_per_group(ds, k: int, group_col: str = "source",
         rank = np.arange(len(sc)) - np.repeat(
             starts, np.diff(np.r_[starts, len(sc)])
         )
-        keep = order[rank < k]
-        part = _group_parts(t.column(group_col), n_parts)[keep]
+        keep = pa.array(order[rank < k])
         return pa.table(
             {
-                id_col: t.column(id_col).take(pa.array(keep)),
-                group_col: t.column(group_col).take(pa.array(keep)),
-                "part": pa.array(part, type=pa.int32()),
+                id_col: t.column(id_col).take(keep),
+                group_col: t.column(group_col).take(keep),
             }
         )
 
@@ -185,12 +147,9 @@ def sample_per_group(ds, k: int, group_col: str = "source",
         keep = g.groupby(group_col, sort=False).cumcount() < k
         return g.loc[keep, [id_col, group_col]]
 
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=8192)
-        .groupby("part")
-        .map_groups(_pick, batch_format="pandas")
-    )
+    partial = ds.map_batches(_partial, batch_format="pyarrow",
+        zero_copy_batch=True, batch_size=8192)
+    return routed_reduce(partial, [group_col], n_parts, _pick)
 
 
 def mixture_sample(ds, rates: dict[str, float], default: float = 0.0,

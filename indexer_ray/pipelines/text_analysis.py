@@ -21,6 +21,7 @@ import pyarrow as pa
 
 from indexer_ray.conformance.lexer import tokenize, tokenize_plain
 from indexer_ray.conformance.stopwords import STOP_WORDS
+from indexer_ray.stages.shuffle import routed_reduce
 
 # ---------------------------------------------------------------- token stats
 
@@ -685,33 +686,13 @@ def bigram_counts(ds, k: int = 100):
 
 
 def _routed_cnt_sum(ds, key_cols: tuple[str, ...], n_parts: int = 64):
-    """``groupby(key_cols).Sum('cnt')`` as a hash-routed vectorized
-    merge: route rows by a vectorized hash of the concatenated key, then
-    ONE pandas groupby-sum per partition.  Ray's sort-based Aggregate
+    """``groupby(key_cols).Sum('cnt')`` as a routed vectorized merge: ONE
+    pandas groupby-sum per routed partition.  Ray's sort-based Aggregate
     over high-cardinality string keys measured 33 s at a 4.3M-row
     pair-count merge where this routed pass takes ~2 s (the same
     sort-groupby hotspot class the r04 chunk_dedup_stats fix removed).
-    Routing uses pandas' fixed-key hash_array (deterministic across
-    worker processes); the merged VALUES are exact integer sums, so the
-    route choice never affects results."""
-    import pyarrow.compute as pc
-
-    def _route(t: pa.Table) -> pa.Table:
-        # fill_null before joining: binary_join_element_wise nulls the
-        # whole routing key if ANY key column is null, which would send
-        # null-keyed rows to a null hash — they must route like any other
-        # group (the "" sentinel only picks the partition; the groupby
-        # below still sees the real null values)
-        key = pc.fill_null(t.column(key_cols[0]).combine_chunks(), "")
-        for c in key_cols[1:]:
-            key = pc.binary_join_element_wise(
-                key, pc.fill_null(t.column(c).combine_chunks(), ""), "\x00"
-            )
-        h = pd.util.hash_array(key.to_numpy(zero_copy_only=False))
-        return t.append_column(
-            "p", pa.array((h % n_parts).astype(np.int32), type=pa.int32())
-        )
-
+    The merged VALUES are exact integer sums, so the route choice never
+    affects results."""
     cols = list(key_cols)
 
     def _sum(g: pd.DataFrame) -> pd.DataFrame:
@@ -723,11 +704,7 @@ def _routed_cnt_sum(ds, key_cols: tuple[str, ...], n_parts: int = 64):
         ].sum()
         return out.astype({"cnt": "int64"})
 
-    return (
-        ds.map_batches(_route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p")
-        .map_groups(_sum, batch_format="pandas")
-    )
+    return routed_reduce(ds, cols, n_parts, _sum)
 
 
 def skipgram_counts(ds, window: int = 3, k: int = 100):
@@ -854,12 +831,8 @@ def pmi_collocations(ds, k: int = 100, min_count: int = 5, n_parts: int = 32):
     Bigram rows below `min_count` drop before the routing shuffles.
 
     Output: (w1, w2, cnt, pmi_q, rank), rank by (pmi_q desc, w1, w2)."""
-    import hashlib as _hl
-
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
-
-    from indexer_ray.functions.hashing import key_partition
 
     def _tagged_partials(batch: pa.Table) -> pa.Table:
         # one vectorized Arrow flatten for the whole batch, then integer
@@ -923,25 +896,12 @@ def pmi_collocations(ds, k: int = 100, min_count: int = 5, n_parts: int = 32):
     qn1 = int(_q_int([n1_total])[0]) if n1_total else 0
     qn2 = int(_q_int([n2_total])[0]) if n2_total else 0
 
-    def _hash_parts(terms: list[str]) -> np.ndarray:
-        h = np.array(
-            [
-                int.from_bytes(_hl.blake2b(t.encode(), digest_size=8).digest(), "big")
-                for t in terms
-            ],
-            dtype=np.uint64,
-        )
-        return key_partition(h, n_parts)
-
-    def _route1(batch: pa.Table) -> pa.Table:
+    def _drop_rare(batch: pa.Table) -> pa.Table:
         keep = pc.or_(
             pc.equal(batch.column("w2"), ""),
             pc.greater_equal(batch.column("cnt"), min_count),
         )
-        t = batch.filter(keep)
-        return t.append_column(
-            "p", pa.array(_hash_parts(t.column("w1").to_pylist()), type=pa.int32())
-        )
+        return batch.filter(keep)
 
     def _attach_c1(g: pd.DataFrame) -> pd.DataFrame:
         uni = g[g["w2"] == ""]
@@ -949,15 +909,10 @@ def pmi_collocations(ds, k: int = 100, min_count: int = 5, n_parts: int = 32):
         big["c1"] = big["w1"].map(dict(zip(uni["w1"], uni["cnt"]))).astype("int64")
         uni = uni.copy()
         uni["c1"] = np.int64(0)
-        return pd.concat([big, uni], ignore_index=True)[["w1", "w2", "cnt", "c1"]]
-
-    def _route2(batch: pa.Table) -> pa.Table:
-        w1 = batch.column("w1").to_pylist()
-        w2 = batch.column("w2").to_pylist()
-        terms = [b if b else a for a, b in zip(w1, w2)]
-        return batch.append_column(
-            "p", pa.array(_hash_parts(terms), type=pa.int32())
-        )
+        out = pd.concat([big, uni], ignore_index=True)[["w1", "w2", "cnt", "c1"]]
+        # second routing key: a bigram's w2, a unigram row's own term
+        out["term"] = out["w2"].where(out["w2"] != "", out["w1"])
+        return out
 
     def _score(g: pd.DataFrame) -> pd.DataFrame:
         uni = g[g["w2"] == ""]
@@ -978,14 +933,11 @@ def pmi_collocations(ds, k: int = 100, min_count: int = 5, n_parts: int = 32):
         )
         return out
 
-    scored = (
-        merged.map_batches(_route1, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p")
-        .map_groups(_attach_c1, batch_format="pandas")
-        .map_batches(_route2, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p")
-        .map_groups(_score, batch_format="pandas")
+    with_c1 = routed_reduce(
+        merged.map_batches(_drop_rare, batch_format="pyarrow", zero_copy_batch=True),
+        ["w1"], n_parts, _attach_c1,
     )
+    scored = routed_reduce(with_c1, ["term"], n_parts, _score)
 
     def _local_topk(b: pd.DataFrame) -> pd.DataFrame:
         b = b.sort_values(["pmi_q", "w1", "w2"], ascending=[False, True, True]).head(k)
@@ -1644,7 +1596,6 @@ def doc_bigram_nll(ds, n_parts: int = 32):
     The shuffle moves per-(doc, bigram) count rows and per-(doc,
     partition) partials — never text, never a global count table.
     Output: (doc_id, n_bigrams, nll2_q)."""
-    from indexer_ray.functions.hashing import key_partition
 
     def _occ(batch: pa.Table) -> pa.Table:
         ids, w1s, w2s, ns = [], [], [], []
@@ -1660,35 +1611,12 @@ def doc_bigram_nll(ds, n_parts: int = 32):
                 w1s.append(a)
                 w2s.append(b)
                 ns.append(n)
-        w1a = pa.array(w1s, type=pa.string())
-        w2a = pa.array(w2s, type=pa.string())
-        # stable routing hashes (Python hash() is per-process salted)
-        import hashlib as _hl
-
-        h12 = np.array(
-            [
-                int.from_bytes(
-                    _hl.blake2b(f"{a}\x00{b}".encode(), digest_size=8).digest(), "big"
-                )
-                for a, b in zip(w1s, w2s)
-            ],
-            dtype=np.uint64,
-        )
-        h1 = np.array(
-            [
-                int.from_bytes(_hl.blake2b(a.encode(), digest_size=8).digest(), "big")
-                for a in w1s
-            ],
-            dtype=np.uint64,
-        )
         return pa.table(
             {
                 "doc_id": pa.array(ids, type=pa.int64()),
-                "w1": w1a,
-                "w2": w2a,
+                "w1": pa.array(w1s, type=pa.string()),
+                "w2": pa.array(w2s, type=pa.string()),
                 "n": pa.array(ns, type=pa.int64()),
-                "part12": pa.array(key_partition(h12, n_parts), type=pa.int32()),
-                "part1": pa.array(key_partition(h1, n_parts), type=pa.int32()),
             }
         )
 
@@ -1712,25 +1640,9 @@ def doc_bigram_nll(ds, n_parts: int = 32):
         out["nb"] = np.int64(0)
         return out.astype({"doc_id": "int64", "s_q": "int64", "nb": "int64"})
 
-    partials = (
-        occ.groupby("part12")
-        .map_groups(
-            lambda g: _partial12(g.drop(columns=["part1"])), batch_format="pandas"
-        )
-        .union(
-            occ.groupby("part1").map_groups(
-                lambda g: _partial1(g.drop(columns=["part12"])),
-                batch_format="pandas",
-            )
-        )
+    partials = routed_reduce(occ, ["w1", "w2"], n_parts, _partial12).union(
+        routed_reduce(occ, ["w1"], n_parts, _partial1)
     )
-
-    def _route(batch: pa.Table) -> pa.Table:
-        part = key_partition(
-            batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64),
-            n_parts,
-        )
-        return batch.append_column("dpart", pa.array(part, type=pa.int32()))
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
         doc = g["doc_id"].to_numpy()
@@ -1749,11 +1661,7 @@ def doc_bigram_nll(ds, n_parts: int = 32):
             }
         )
 
-    return (
-        partials.map_batches(_route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("dpart")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return routed_reduce(partials, ["doc_id"], n_parts, _merge)
 
 
 def doc_trigram_nll(
@@ -1787,16 +1695,7 @@ def doc_trigram_nll(
     The shuffles move per-(doc, trigram) count rows — never text, never a
     count table; the only driver-side value is the scalar N.
     Output: (doc_id, n_trigrams, nll3_q)."""
-    import hashlib as _hl
-
-    from indexer_ray.functions.hashing import key_partition
-
     l3, l2, l1 = float(lambdas[0]), float(lambdas[1]), float(lambdas[2])
-
-    def _h64(parts: list[str]) -> int:
-        return int.from_bytes(
-            _hl.blake2b("\x00".join(parts).encode(), digest_size=8).digest(), "big"
-        )
 
     def _occ(batch: pa.Table) -> pa.Table:
         ids, w1s, w2s, w3s, ns = [], [], [], [], []
@@ -1813,9 +1712,6 @@ def doc_trigram_nll(
                 w2s.append(b)
                 w3s.append(d)
                 ns.append(n)
-        h12 = np.array([_h64([a, b]) for a, b in zip(w1s, w2s)], dtype=np.uint64)
-        h2 = np.array([_h64([b]) for b in w2s], dtype=np.uint64)
-        h3 = np.array([_h64([d]) for d in w3s], dtype=np.uint64)
         return pa.table(
             {
                 "doc_id": pa.array(ids, type=pa.int64()),
@@ -1823,9 +1719,6 @@ def doc_trigram_nll(
                 "w2": pa.array(w2s, type=pa.string()),
                 "w3": pa.array(w3s, type=pa.string()),
                 "n": pa.array(ns, type=pa.int64()),
-                "part12": pa.array(key_partition(h12, n_parts), type=pa.int32()),
-                "part2": pa.array(key_partition(h2, n_parts), type=pa.int32()),
-                "part3": pa.array(key_partition(h3, n_parts), type=pa.int32()),
             }
         )
 
@@ -1867,22 +1760,11 @@ def doc_trigram_nll(
         out["n"] = g["n"].to_numpy() if which == "p3" else np.int64(0)
         return out
 
-    drop = {"p3": ["part2", "part3"], "p2": ["part12", "part3"], "p1": ["part12", "part2"]}
     streams = [
-        occ.groupby(part_col).map_groups(
-            lambda g, w=which: _stream(g.drop(columns=drop[w]), w),
-            batch_format="pandas",
-        )
-        for which, part_col in (("p3", "part12"), ("p2", "part2"), ("p1", "part3"))
+        routed_reduce(occ, keys, n_parts, lambda g, w=which: _stream(g, w))
+        for which, keys in (("p3", ["w1", "w2"]), ("p2", ["w2"]), ("p1", ["w3"]))
     ]
     combined = streams[0].union(streams[1]).union(streams[2])
-
-    def _doc_route(batch: pa.Table) -> pa.Table:
-        part = key_partition(
-            batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64),
-            n_parts,
-        )
-        return batch.append_column("dpart", pa.array(part, type=pa.int32()))
 
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
         # pivot: per (doc, trigram) each pᵢ column holds one non-zero
@@ -1905,11 +1787,7 @@ def doc_trigram_nll(
             {"doc_id": "int64", "n_trigrams": "int64", "nll3_q": "int64"}
         )
 
-    return (
-        combined.map_batches(_doc_route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("dpart")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return routed_reduce(combined, ["doc_id"], n_parts, _merge)
 
 
 def build_vocab(ds, size: int, min_df: int = 1, mode: str = "plain"):

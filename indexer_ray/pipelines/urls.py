@@ -21,6 +21,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from indexer_ray.stages.shuffle import routed_reduce
+
 
 def _canon_one(u: str) -> str:
     u = u.split("#", 1)[0]  # R1
@@ -112,19 +114,6 @@ def keep_latest_per_key(
     cap_per_group routing — one vectorized lexsort + drop_duplicates pass
     per PARTITION, never per key), shuffle moves only (key, id, ts).
     Output: (key_col, id_col, ts_col) survivors."""
-    from indexer_ray.pipelines.sampling import _group_parts
-
-    def _route(t: pa.Table) -> pa.Table:
-        part = _group_parts(t.column(key_col), n_parts)
-        return pa.table(
-            {
-                key_col: t.column(key_col),
-                id_col: t.column(id_col),
-                ts_col: t.column(ts_col),
-                "part": pa.array(part, type=pa.int32()),
-            }
-        )
-
     def _latest(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
             [key_col, ts_col, id_col], ascending=[True, False, False],
@@ -134,12 +123,7 @@ def keep_latest_per_key(
             [key_col, id_col, ts_col]
         ]
 
-    return (
-        ds.map_batches(_route, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=8192)
-        .groupby("part")
-        .map_groups(_latest, batch_format="pandas")
-    )
+    return routed_reduce(ds.select_columns([key_col, id_col, ts_col]), [key_col], n_parts, _latest)
 
 
 def crawl_diff(

@@ -1,2 +1,2 @@
-"""map_batches stage bodies and codecs (pure functions / callable classes —
-no Ray session management here)."""
+"""map_batches stage bodies, codecs and the routed shuffle (pure functions /
+callable classes — no Ray session management here)."""

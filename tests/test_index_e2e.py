@@ -107,6 +107,26 @@ def test_wand_telemetry_counts_consistent(built):
     assert any_pruned
 
 
+def test_wand_then_exhaustive_keeps_one_decoded_copy(built):
+    """A term WAND decoded block by block and the exhaustive kernel then
+    decoded in full holds ONE decoded copy (the block-LRU charge assumes
+    it), and WAND over the fully-decoded term still ranks exactly."""
+    index_dir, _, _ = built
+    ref = IndexSearcher(index_dir)
+    s = IndexSearcher(index_dir)
+    block_cached = False
+    for q in reference_queries():
+        for scorer in ("tfidf", "bm25"):
+            expected = ref.search(q["query"], k=3, scorer=scorer, algorithm="exhaustive")
+            assert s.search(q["query"], k=3, scorer=scorer, algorithm="wand") == expected
+            block_cached |= any(tb.dec_blocks for tb in s._blocks_cache.values())
+            assert s.search(q["query"], k=3, scorer=scorer, algorithm="exhaustive") == expected
+            assert all(not tb.dec_blocks for tb in s._blocks_cache.values())
+            assert s.search(q["query"], k=3, scorer=scorer, algorithm="wand") == expected
+            assert all(not tb.dec_blocks for tb in s._blocks_cache.values())
+    assert block_cached, "no reference query made WAND decode a block"
+
+
 def test_url_resolution(built):
     index_dir, _, corpus = built
     s = IndexSearcher(index_dir)

@@ -169,6 +169,29 @@ def test_remap_missing_docmap_id_broadcast_raises(built):
     assert "missing from docmap" in str(ei.value)
 
 
+def test_remap_duplicate_docmap_id_join_raises(built):
+    """A docmap row repeated for one old doc_id makes the join regime
+    write MORE postings than the manifest holds; the error must name the
+    duplicate, not report the id as missing."""
+    from indexer_ray.pipelines.remap import remap_docids
+
+    root = built("dense")
+    idx = str(root / "idx")
+    f = next(
+        f
+        for f in sorted(glob.glob(os.path.join(idx, "docmap", "*.parquet")))
+        if pq.ParquetFile(f).metadata.num_rows
+    )
+    t = pq.read_table(f)
+    pq.write_table(pa.concat_tables([t, t.slice(0, 1)]), f)
+    with pytest.raises(RuntimeError) as ei:
+        remap_docids(
+            idx, str(root / "out_dup"), key_cols=("url",),
+            broadcast_docs_threshold=0,
+        )
+    assert "duplicate old doc_id in docmap" in str(ei.value)
+
+
 def test_remap_missing_docmap_id_join_raises(built):
     """The join regime must error like the broadcast regime instead of
     silently dropping unmapped postings."""

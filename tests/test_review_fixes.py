@@ -402,3 +402,35 @@ def test_raypatch_empty_blocks_adversarial_shapes(ray_session):
         assert sorted(r["k"] for r in empty.union(real).take_all()) == [0, 1, 2, 3, 4]
     finally:
         ctx.execution_options.preserve_order = prev
+
+
+def test_raypatch_skipped_on_untested_ray_version():
+    """On a Ray version outside _TESTED_RAY the package import patches
+    neither executor hook and warns once, naming the version."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import json, warnings
+import ray
+ray.__version__ = "0.0.0.untested"
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import indexer_ray
+from ray.data._internal.execution import streaming_executor_state as ses
+print(json.dumps({
+    "add_output": getattr(ses.OpState.add_output, "_indexer_ray_patch", False),
+    "dedupe": getattr(ses.dedupe_schemas_with_validation, "_indexer_ray_patch", False),
+    "warnings": [str(w.message) for w in caught if "0.0.0.untested" in str(w.message)],
+}))
+"""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=repo, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["add_output"] is False and got["dedupe"] is False
+    assert len(got["warnings"]) == 1
