@@ -482,7 +482,10 @@ def _q_regex_grep_indexed(sf_dir: str):
         "batch [a-z]+ window",
         return_stats=True,
     )
-    assert stats["used_index"], "pattern has required literals"
+    if not stats["used_index"]:
+        raise RuntimeError(
+            "regex_grep fell back to a full scan for a pattern with required literals"
+        )
     return out
 
 

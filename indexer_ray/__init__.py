@@ -13,7 +13,9 @@ Layout:
                  (the reference CLI's directory-of-files input mode).
   stages/      — map_batches stage bodies (tokenize actor, codecs) and
                  shuffle.py, the routed shuffle every key-partitioned
-                 reduce runs through (route_parts / routed_reduce).
+                 reduce runs through (route_parts / routed_reduce) and
+                 the broadcast-or-join key-set join (regime_join,
+                 join_parts).
   pipelines/   — build (index construction), query (search engines), dedup
                  (exact/MinHash/SimHash/embedding/winnowing), ann (streaming
                  + persisted index), text_analysis, events (windows,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from indexer_ray.stages.shuffle import join_parts
+
 
 def curate_corpus(
     ds,
@@ -25,7 +27,6 @@ def curate_corpus(
     max_digit_pct: int = 30,
     min_alpha_pct: int = 50,
     group_col: str = "source",
-    join_partitions: int | None = None,
 ):
     """documents Dataset -> curated Dataset (original columns).
 
@@ -33,13 +34,11 @@ def curate_corpus(
     stay DISTRIBUTED and semi-join the corpus with inner hash joins —
     no driver materialization, no broadcast of corpus-sized id sets;
     the mixture draw is a pure map."""
-    import ray
-
     from indexer_ray.pipelines.dedup import exact_duplicates
     from indexer_ray.pipelines.sampling import mixture_sample
     from indexer_ray.pipelines.text_analysis import quality_filter
 
-    jp = join_partitions or max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
+    jp = join_parts()
 
     admitted = quality_filter(
         ds, min_tokens=min_tokens, max_digit_pct=max_digit_pct,
@@ -143,13 +142,10 @@ def site_quality_stats(
     return summed.map_batches(_flag, batch_format="pyarrow")
 
 
-def site_quality_filter(ds, host_col: str = "source", join_partitions=None,
-                        **rule_kw):
+def site_quality_filter(ds, host_col: str = "source", **rule_kw):
     """Drop every doc whose host fails the site-level keep rule — a
     distributed LEFT ANTI join against the (small) bad-host set.
     Returns (kept_ds, stats_ds)."""
-    import ray
-
     stats = site_quality_stats(ds, host_col=host_col, **rule_kw).materialize()
     bad = stats.map_batches(
         lambda t: pa.table(
@@ -159,7 +155,4 @@ def site_quality_filter(ds, host_col: str = "source", join_partitions=None,
         ),
         batch_format="pyarrow",
     )
-    jp = join_partitions or max(
-        2, int(ray.cluster_resources().get("CPU", 8)) // 2
-    )
-    return ds.join(bad, "left_anti", jp, on=(host_col,)), stats
+    return ds.join(bad, "left_anti", join_parts(), on=(host_col,)), stats

@@ -46,7 +46,12 @@ import pandas as pd
 import pyarrow as pa
 
 from indexer_ray.conformance.lexer import tokenize_plain
-from indexer_ray.stages.shuffle import route_parts, routed_reduce
+from indexer_ray.stages.shuffle import (
+    driver_table,
+    join_parts,
+    route_parts,
+    routed_reduce,
+)
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -462,14 +467,12 @@ def _pairwise_jaccard_join_ds(
 
     Returns a DATASET of (doc_a, doc_b, jaccard) covering every input pair.
     """
-    import ray
     from ray.data.aggregate import Count
 
     # hash-join aggregators are ACTORS, one per partition, each holding a
     # CPU slot: cap join partitions at half the cluster's CPUs or the map
     # tasks starve (observed deadlock at 64 partitions on a 4-cpu node)
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    join_parts = max(2, min(n_parts, ncpu // 2))
+    jp = max(2, min(n_parts, join_parts()))
     shingle_list = pa.list_(pa.uint64())
 
     def _pair_rows(batch: pa.Table) -> pa.Table:
@@ -509,7 +512,7 @@ def _pairwise_jaccard_join_ds(
         .select_columns(["doc_id", "part"])
     )
     joined = ds.select_columns(["doc_id", "text"]).join(
-        needed, "inner", join_parts, on=("doc_id",)
+        needed, "inner", jp, on=("doc_id",)
     )
 
     def _shingle_rows(batch: pa.Table) -> pa.Table:
@@ -1604,7 +1607,6 @@ def dup_clusters(
     groupby over edge/label rows — the corpus and driver are never
     touched."""
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
     from ray.data.aggregate import Min
 
@@ -1627,8 +1629,7 @@ def dup_clusters(
             ).replace_schema_metadata(None)
         )
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    jp = max(2, min(n_parts, ncpu // 2))  # join aggregators hold CPU slots
+    jp = max(2, min(n_parts, join_parts()))
 
     def _sym(t: pa.Table) -> pa.Table:
         a = t.column("doc_a").combine_chunks()
@@ -1709,7 +1710,6 @@ def drop_duplicates_ds(ds, clusters, id_col: str = "doc_id"):
     output (Dataset or DataFrame).  Implemented as a LEFT OUTER hash join
     — the corpus streams, nothing materializes on the driver."""
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
 
     if isinstance(clusters, pd.DataFrame):
@@ -1725,8 +1725,7 @@ def drop_duplicates_ds(ds, clusters, id_col: str = "doc_id"):
             ),
             batch_format="pyarrow",
         )
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    jp = max(2, ncpu // 2)
+    jp = join_parts()
     joined = ds.join(clusters, "left_outer", jp, on=(id_col,))
 
     def _keep(t: pa.Table) -> pa.Table:
@@ -1894,7 +1893,6 @@ def decontaminate_ds(
     ).materialize()
 
     import pyarrow.compute as pc
-    import ray
 
     contaminated = (
         overlaps.map_batches(
@@ -1907,8 +1905,7 @@ def decontaminate_ds(
         .count()
         .select_columns([id_col])
     )
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    jp = max(2, ncpu // 2)
+    jp = join_parts()
     clean = corpus_ds.join(contaminated, "left_anti", jp, on=(id_col,))
     return clean, overlaps
 
@@ -2023,10 +2020,10 @@ def exact_ngram_overlap(
     if n_eval_keys <= broadcast_keys_threshold:
         ek = (
             np.unique(
-                np.array(
-                    [r["key"] for r in eval_keys_ds.take_all()],
-                    dtype=np.uint64,
-                )
+                driver_table(eval_keys_ds.select_columns(["key"]))
+                .column("key")
+                .to_numpy()
+                .astype(np.uint64)
             )
             if n_eval_keys
             else np.empty(0, dtype=np.uint64)
@@ -2100,7 +2097,7 @@ def exact_ngram_overlap(
         .count()
         .select_columns(["jkey"])
     )
-    jp = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
+    jp = join_parts()
     train_grams = train_ds.select_columns(["doc_id", "text"]).map_batches(
         _TrainGrams,
         fn_constructor_args=(n,),
@@ -2887,8 +2884,7 @@ def _dedup_unit_engine(ds, split_units, unit_sep, n_parts, broadcast_threshold):
         )
 
     per_doc = drops.groupby("doc_id").map_groups(_pack, batch_format="pandas")
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    jp = max(2, ncpu // 2)
+    jp = join_parts()
     joined = ds.join(per_doc, "left_outer", jp, on=("doc_id",))
 
     def _rebuild_joined(batch: pa.Table) -> pa.Table:

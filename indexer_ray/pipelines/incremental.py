@@ -50,12 +50,9 @@ def filter_expired(
     if method == "broadcast":
         return _filter_broadcast(pages_ds, prior_index_dir)
     if num_partitions is None:
-        # join aggregator actors reserve cpus; oversizing the partition count
-        # on a small cluster starves the producer tasks and hangs the join
-        import ray
+        from indexer_ray.stages.shuffle import join_parts
 
-        n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(2, n_cpus // 2)
+        num_partitions = join_parts()
     docmap = _docmap_ds(prior_index_dir)
     joined = pages_ds.join(
         docmap,

@@ -30,7 +30,7 @@ from urllib.parse import urljoin, urlparse
 import numpy as np
 import pyarrow as pa
 
-from indexer_ray.stages.shuffle import routed_reduce
+from indexer_ray.stages.shuffle import ANTI, driver_table, regime_join, routed_reduce
 
 _SKIP_SCHEMES = ("javascript:", "mailto:", "data:", "tel:")
 
@@ -261,9 +261,9 @@ def pagerank_hosts(
         import ray
 
         hosts = np.sort(
-            np.array(
-                [r["host"] for r in nodes.iter_rows()], dtype=object
-            )
+            driver_table(nodes.select_columns(["host"]))
+            .column("host")
+            .to_numpy(zero_copy_only=False)
         )
         hosts_ref = ray.put(hosts)
 
@@ -514,7 +514,9 @@ def hits_hosts(
         import ray
 
         hosts = np.sort(
-            np.array([r["host"] for r in nodes.iter_rows()], dtype=object)
+            driver_table(nodes.select_columns(["host"]))
+            .column("host")
+            .to_numpy(zero_copy_only=False)
         )
         hosts_ref = ray.put(hosts)
 
@@ -747,19 +749,13 @@ def crawl_frontier(
     SQL ROW_NUMBER() OVER (PARTITION BY host ORDER BY url) <= cap).
 
     `seen_urls` is a list/set of urls (canonicalized with the same chain
-    before comparison) or a Dataset with a url column.  Anti-join routing
-    is regime-gated: below `broadcast_threshold` seen urls the set ships
-    once via ray.put and candidates filter with a vectorized pc.is_in;
-    above it both sides hash-route by url into `n_parts` partitions and
-    one vectorized isin pass runs per PARTITION (never per group).
+    before comparison) or a Dataset with a url column; the seen urls drop
+    through one `regime_join` anti-join gated on `broadcast_threshold`.
 
     Output: (url, host), distinct canonical urls.  At 100-TB crawl scale
     the frontier state lives in the large regime; the pages batch streams
     — nothing here materializes the corpus."""
-    import ray
     import ray.data as rd
-    import pandas as pd
-    import pyarrow.compute as pc
 
     from indexer_ray.pipelines.urls import _canon_one
 
@@ -792,7 +788,9 @@ def crawl_frontier(
     )
 
     if isinstance(seen_urls, (list, tuple, set, frozenset)):
-        seen_ds = rd.from_items([{"url": u} for u in sorted(seen_urls)])
+        seen_ds = rd.from_arrow(
+            pa.table({"url": pa.array(sorted(seen_urls), type=pa.string())})
+        )
     else:
         seen_ds = seen_urls
 
@@ -807,34 +805,7 @@ def crawl_frontier(
         )
 
     seen_canon = seen_ds.map_batches(_canon_seen, batch_format="pyarrow")
-    n_seen = seen_canon.count()
-
-    if n_seen <= broadcast_threshold:
-        seen_arr = pa.array(
-            sorted({r["url"] for r in seen_canon.iter_rows()}), type=pa.string()
-        )
-        ref = ray.put(seen_arr)
-
-        def _drop_seen(t: pa.Table) -> pa.Table:
-            s = ray.get(ref)
-            if not t.num_rows:
-                return t
-            return t.filter(pc.invert(pc.is_in(t.column("url"), value_set=s)))
-
-        out = cands.map_batches(_drop_seen, batch_format="pyarrow")
-    else:
-        # routed-partition anti-join: one vectorized isin per partition
-        seen_hosted = seen_canon.map_batches(
-            lambda t: t.append_column("host", pa.array([""] * t.num_rows, type=pa.string())),
-            batch_format="pyarrow",
-        )
-
-        def _anti(g: pd.DataFrame) -> pd.DataFrame:
-            seen = set(g.loc[g["side"] == 1, "url"])
-            keep = g[(g["side"] == 0) & ~g["url"].isin(seen)]
-            return keep[["url", "host"]]
-
-        out = routed_reduce([cands, seen_hosted], ["url"], n_parts, _anti)
+    out = regime_join(cands, seen_canon, "url", ANTI, broadcast_threshold)
 
     if per_host_cap:
         from indexer_ray.pipelines.sampling import cap_per_group

@@ -19,15 +19,8 @@ build's phase-2 encoder verbatim (`build.encode_partition`), inheriting
 its per-partition checkpoints, `_meta.json` lineage and byte-determinism.
 The manifest is written atomically LAST (state/manifest.py commit rule).
 
-Superseded-doc handling is two-regime, like the dedup pair routing:
-  * broadcast (delta docmap <= `broadcast_urls_threshold` urls): the
-    superseded base doc_ids collect to a sorted numpy array, `ray.put`
-    ONCE, and every postings batch drops hits with one vectorized
-    searchsorted — no shuffle of the base postings at all;
-  * join (larger deltas): the base postings and docmap are LEFT OUTER
-    hash-joined against the delta url/doc_id sets and the matches
-    dropped — everything stays distributed (a merge with a delta of
-    this size is doing rebuild-scale data movement by necessity).
+Superseded docs drop through `stages/shuffle.regime_join` (broadcast
+url set below `broadcast_urls_threshold`, distributed hash join above).
 
 Doc-id space: for hash ids (blake2b(url)) and native `id_column` ids a
 re-indexed url keeps the SAME id, so dropping superseded base postings
@@ -46,9 +39,8 @@ version became empty is skipped by the delta build (A2 empty-skip) and
 its stale base entry survives the merge.
 
 `merge_many` extends the rule to a generation CHAIN (L0..Lk compaction):
-a url's postings come from the last generation containing it — one
-streaming pass over all generations' postings in the broadcast regime, a
-pairwise distributed cascade above the url threshold.
+a url's postings come from the last generation containing it, in one
+streaming pass over all generations' postings.
 """
 
 from __future__ import annotations
@@ -61,7 +53,6 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from indexer_ray.functions.hashing import (
@@ -76,6 +67,7 @@ from indexer_ray.pipelines.build import (
     _encode_partition_batch,
 )
 from indexer_ray.stages.codec import decode_blocks
+from indexer_ray.stages.shuffle import ANTI, SEMI, regime_join
 from indexer_ray.state.manifest import (
     IndexManifest,
     load_progress,
@@ -92,6 +84,7 @@ def _docmap_files(index_dir: str) -> list[str]:
     return sorted(glob.glob(os.path.join(index_dir, "docmap", "*.parquet")))
 
 
+_POST_COLS = ["term", "doc_id", "tf", "dl"]
 _EMPTY_POSTINGS = pa.table(
     {
         "term": pa.array([], type=pa.string()),
@@ -162,6 +155,7 @@ def _route_batch(
     as the build's tokenize stage (stages/tokenize.py `_part_of` + salt
     runs), applied to already-tokenized rows.  Vectorized per distinct
     term (parquet block tables are term-dictionary-heavy)."""
+    batch = batch.select(_POST_COLS)
     enc = batch.column("term").combine_chunks().dictionary_encode()
     uniq = enc.dictionary.to_pylist()
     codes = enc.indices.to_numpy(zero_copy_only=False)
@@ -182,12 +176,72 @@ def _route_batch(
     return batch.append_column("part_id", pa.array(part, type=pa.int32()))
 
 
-def _jkey(t: pa.Table, col: str = "doc_id") -> pa.Table:
-    """int64 two's-complement view of a uint64 id column — Dataset.join /
-    groupby keys above 2^63 fall into a pickled-object path; the signed
-    view is bijective and hash-join-friendly."""
-    ids = t.column(col).to_numpy(zero_copy_only=False).astype(np.uint64)
-    return t.append_column("jkey", pa.array(ids.view(np.int64), type=pa.int64()))
+def _write_raw(
+    post, raw_root: str, hot_salts: dict[str, int], n_partitions: int, id_space
+):
+    """Route postings to their output partitions and write the partitioned
+    raw layout the phase-2 encoder reads."""
+    post.map_batches(
+        _route_batch,
+        fn_kwargs={
+            "hot_salts": hot_salts,
+            "n_partitions": n_partitions,
+            "id_space": id_space,
+        },
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    ).write_parquet(raw_root, partition_cols=["part_id"])
+
+
+def _shift_ids(ds, offset: int):
+    """`ds` with `doc_id + offset` — dense row-number ids of a later
+    generation moved past the earlier generations' id spaces."""
+    if not offset:
+        return ds
+    off = np.uint64(offset)
+
+    def _shift(t: pa.Table) -> pa.Table:
+        ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
+        return t.set_column(
+            t.schema.get_field_index("doc_id"),
+            "doc_id",
+            pa.array(ids + off, type=pa.uint64()),
+        )
+
+    return ds.map_batches(_shift, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _read_docmap(files: list[str], columns: list[str] | None = None):
+    """Docmap fragments as a Dataset; a typed empty (doc_id, url) one when
+    there are none."""
+    import ray.data as rd
+
+    if files:
+        return rd.read_parquet(files, columns=columns)
+    empty = pa.table(
+        {
+            "doc_id": pa.array([], type=pa.uint64()),
+            "url": pa.array([], type=pa.string()),
+        }
+    )
+    return rd.from_arrow(empty.select(columns) if columns else empty)
+
+
+def _select(ds, cols: list[str]):
+    return ds.map_batches(lambda t: t.select(cols), batch_format="pyarrow")
+
+
+def _drop_urls(index_dir: str, urls_ds, threshold: int):
+    """(postings, docmap) of an index minus every doc whose url is in
+    `urls_ds` (one `url` column): the doc_ids of those urls, then both
+    tables without them."""
+    urls_ds = urls_ds.materialize()
+    dm = _read_docmap(_docmap_files(index_dir))
+    gone = regime_join(
+        dm.select_columns(["doc_id", "url"]), urls_ds, "url", SEMI, threshold
+    ).select_columns(["doc_id"])
+    post = regime_join(postings_ds(index_dir), gone, "doc_id", ANTI, threshold)
+    return post, regime_join(dm, urls_ds, "url", ANTI, threshold)
 
 
 def merge_indexes(
@@ -197,7 +251,6 @@ def merge_indexes(
     resume: bool = False,
     n_partitions: int | None = None,
     broadcast_urls_threshold: int = 1 << 20,
-    join_partitions: int | None = None,
 ) -> IndexManifest:
     """Compact base + delta indexes into a fresh index at `out_dir` with
     newest-url-wins semantics.  Ray must already be initialised (driver
@@ -206,7 +259,6 @@ def merge_indexes(
     Resumable like `build_index`: phase 1 (decode/filter/route/write-raw +
     docmap) is marked complete in progress.json; phase 2 reuses the
     per-partition `_meta.json` checkpoints; manifest.json commits last."""
-    import ray
     import ray.data as rd
 
     base_m = IndexManifest.load(base_dir)
@@ -276,175 +328,18 @@ def merge_indexes(
 
         base_dm_files = _docmap_files(base_dir)
         delta_dm_files = _docmap_files(delta_dir)
-        n_delta_urls = _docmap_rows(delta_dm_files)
-        base_post = postings_ds(base_dir)
-        base_dm = (
-            rd.read_parquet(base_dm_files)
-            if base_dm_files
-            else rd.from_arrow(pa.table({"doc_id": pa.array([], type=pa.uint64())}))
+        base_post, dm_out = _drop_urls(
+            base_dir, _read_docmap(delta_dm_files, ["url"]), broadcast_urls_threshold
         )
+        delta_post = _shift_ids(postings_ds(delta_dir), delta_offset)
+        _write_raw(base_post.union(delta_post), raw_root, hot_out, P, id_space)
 
-        if n_delta_urls <= broadcast_urls_threshold:
-            # ---- broadcast regime: superseded ids as one sorted array ----
-            delta_urls = (
-                set(
-                    r["url"]
-                    for r in rd.read_parquet(delta_dm_files, columns=["url"]).take_all()
-                )
-                if delta_dm_files
-                else set()
-            )
-            # the DELTA url set is threshold-gated (small); the filter runs
-            # over the UNBOUNDED base side, so it must be a vectorized
-            # pc.is_in, not a per-row Python membership loop
-            urls_ref = ray.put(pa.array(sorted(delta_urls), type=pa.string()))
-
-            def _sup_ids(t: pa.Table) -> pa.Table:
-                us = ray.get(urls_ref)
-                mask = pc.is_in(t.column("url"), value_set=us)
-                return pa.table({"doc_id": t.column("doc_id").filter(mask)})
-
-            sup = (
-                np.sort(
-                    np.array(
-                        [
-                            r["doc_id"]
-                            for r in base_dm.map_batches(
-                                _sup_ids, batch_format="pyarrow"
-                            ).take_all()
-                        ],
-                        dtype=np.uint64,
-                    )
-                )
-                if delta_urls
-                else np.empty(0, dtype=np.uint64)
-            )
-            sup_ref = ray.put(sup)
-
-            def _drop_superseded(t: pa.Table) -> pa.Table:
-                s = ray.get(sup_ref)
-                if not len(s) or not t.num_rows:
-                    return t
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-                pos = np.minimum(np.searchsorted(s, ids), len(s) - 1)
-                return t.filter(pa.array(~(s[pos] == ids)))
-
-            base_post = base_post.map_batches(
-                _drop_superseded, batch_format="pyarrow", zero_copy_batch=True
-            )
-
-            def _drop_superseded_dm(t: pa.Table) -> pa.Table:
-                us = ray.get(urls_ref)
-                return t.filter(pc.invert(pc.is_in(t.column("url"), value_set=us)))
-
-            base_dm_keep = base_dm.map_batches(
-                _drop_superseded_dm, batch_format="pyarrow"
-            )
-        else:
-            # ---- join regime: everything stays distributed ----
-            jp = join_partitions or max(
-                2, int(ray.cluster_resources().get("CPU", 8)) // 2
-            )
-            marker = rd.read_parquet(delta_dm_files, columns=["url"]).map_batches(
-                lambda t: t.append_column(
-                    "m", pa.array(np.ones(t.num_rows, dtype=np.int8), type=pa.int8())
-                ),
-                batch_format="pyarrow",
-            )
-            # materialized: consumed twice (kept rows + superseded keys)
-            dm_joined = base_dm.join(marker, "left_outer", jp, on=("url",)).materialize()
-            base_dm_keep = dm_joined.map_batches(
-                lambda t: t.filter(pa.compute.is_null(t.column("m"))).drop_columns(
-                    ["m"]
-                ),
-                batch_format="pyarrow",
-            )
-
-            def _sup_keys(t: pa.Table) -> pa.Table:
-                kept = t.filter(pa.compute.is_valid(t.column("m")))
-                ids = (
-                    kept.column("doc_id")
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.uint64)
-                )
-                return pa.table(
-                    {
-                        "jkey": pa.array(ids.view(np.int64), type=pa.int64()),
-                        "m2": pa.array(
-                            np.ones(len(ids), dtype=np.int8), type=pa.int8()
-                        ),
-                    }
-                )
-
-            sup_keys = dm_joined.map_batches(_sup_keys, batch_format="pyarrow")
-            base_post = (
-                base_post.map_batches(_jkey, batch_format="pyarrow")
-                .join(sup_keys, "left_outer", jp, on=("jkey",))
-                .map_batches(
-                    lambda t: t.filter(pa.compute.is_null(t.column("m2"))).drop_columns(
-                        ["jkey", "m2"]
-                    ),
-                    batch_format="pyarrow",
-                )
-            )
-
-        delta_post = postings_ds(delta_dir)
-        delta_dm = (
-            rd.read_parquet(delta_dm_files)
-            if delta_dm_files
-            else None
-        )
-        if dense and delta_offset:
-            off = np.uint64(delta_offset)
-
-            def _remap(t: pa.Table) -> pa.Table:
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-                return t.set_column(
-                    t.schema.get_field_index("doc_id"),
-                    "doc_id",
-                    pa.array(ids + off, type=pa.uint64()),
-                )
-
-            delta_post = delta_post.map_batches(
-                _remap, batch_format="pyarrow", zero_copy_batch=True
-            )
-            if delta_dm is not None:
-                delta_dm = delta_dm.map_batches(_remap, batch_format="pyarrow")
-
-        # normalize column order before union (the join regime's joins can
-        # reorder columns; Dataset.union requires matching schemas)
-        _POST_COLS = ["term", "doc_id", "tf", "dl"]
-        base_post = base_post.map_batches(
-            lambda t: t.select(_POST_COLS), batch_format="pyarrow"
-        )
-        delta_post = delta_post.map_batches(
-            lambda t: t.select(_POST_COLS), batch_format="pyarrow"
-        )
-        merged = base_post.union(delta_post).map_batches(
-            _route_batch,
-            fn_kwargs={
-                "hot_salts": hot_out,
-                "n_partitions": P,
-                "id_space": id_space,
-            },
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        merged.write_parquet(raw_root, partition_cols=["part_id"])
-
-        if delta_dm is None:
-            dm_out = base_dm_keep
-        else:
+        if delta_dm_files:
             dm_cols = pq.ParquetFile(
                 (base_dm_files or delta_dm_files)[0]
             ).schema_arrow.names
-            base_dm_keep = base_dm_keep.map_batches(
-                lambda t: t.select(dm_cols), batch_format="pyarrow"
-            )
-            delta_dm = delta_dm.map_batches(
-                lambda t: t.select(dm_cols), batch_format="pyarrow"
-            )
-            dm_out = base_dm_keep.union(delta_dm)
+            delta_dm = _shift_ids(rd.read_parquet(delta_dm_files), delta_offset)
+            dm_out = _select(dm_out, dm_cols).union(_select(delta_dm, dm_cols))
         dm_out.write_parquet(docmap_dir)
         os.makedirs(docmap_dir, exist_ok=True)  # 0-row write creates no dir
         progress["phase1_complete"] = True
@@ -527,23 +422,11 @@ def merge_many(
     contains it — the n-way extension of `merge_indexes`' newest-wins rule,
     i.e. L0..Lk LSM compaction.
 
-    Two regimes, keyed on the total non-base docmap size:
-      * single-pass broadcast (<= `broadcast_urls_threshold` urls across
-        generations 1..k): per-generation superseded-id arrays come from
-        cumulative newer-url sets built newest-to-oldest; all generations'
-        surviving postings stream through ONE route + encode — the raw
-        postings are read exactly once.
-      * generational cascade (larger): pairwise `merge_indexes` folds,
-        oldest first, each fully distributed — G-1 passes, but each pass
-        is the already-scale-safe two-index merge (a multi-generation
-        backlog this large is rebuild-scale data movement by necessity;
-        compact more often).
+    Each generation drops the urls of every newer one through
+    `regime_join`, gated on `broadcast_urls_threshold`.
 
     Dense row-number ids shift by cumulative per-generation id spaces;
     hash / native ids keep their shared ids (superseded copies drop)."""
-    import ray
-    import ray.data as rd
-
     if len(index_dirs) < 2:
         raise ValueError("merge_many needs at least two indexes")
     if len(index_dirs) == 2:
@@ -564,32 +447,6 @@ def merge_many(
                     f"between {index_dirs[0]!r} and {d!r}"
                 )
 
-    non_base_urls = sum(_docmap_rows(_docmap_files(d)) for d in index_dirs[1:])
-    if non_base_urls > broadcast_urls_threshold:
-        # generational cascade: fold pairwise, oldest first
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir, ignore_errors=True)
-        cur = index_dirs[0]
-        tmp_dirs = []
-        for gi, d in enumerate(index_dirs[1:]):
-            last = gi == len(index_dirs) - 2
-            nxt = out_dir if last else os.path.join(out_dir + "_gen", str(gi))
-            m = merge_indexes(
-                cur,
-                d,
-                nxt,
-                n_partitions=n_partitions if last else None,
-                broadcast_urls_threshold=broadcast_urls_threshold,
-            )
-            if cur not in index_dirs:
-                tmp_dirs.append(cur)
-            cur = nxt
-        for t in tmp_dirs:
-            shutil.rmtree(t, ignore_errors=True)
-        shutil.rmtree(out_dir + "_gen", ignore_errors=True)
-        return m
-
-    # ---- single-pass broadcast n-way ----
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir, exist_ok=True)
@@ -605,16 +462,6 @@ def merge_many(
     if dense:
         for g in range(1, G):
             offsets[g] = offsets[g - 1] + _max_docmap_id(index_dirs[g - 1]) + 1
-
-    # cumulative newer-url sets, newest to oldest: newer[g] = urls of g+1..k
-    newer: list[set] = [set() for _ in range(G)]
-    for g in range(G - 2, -1, -1):
-        s = set(newer[g + 1])
-        files = _docmap_files(index_dirs[g + 1])
-        if files:
-            t = pq.read_table(files, columns=["url"])
-            s.update(t.column("url").to_pylist())
-        newer[g] = s
 
     total_postings = sum(
         int(pm.get("n_postings", 0))
@@ -638,108 +485,25 @@ def merge_many(
     )
     save_progress(out_dir, progress)
 
-    def _gen_postings(g: int):
-        """Generation g's surviving postings (superseded drop + remap)."""
-        post = postings_ds(index_dirs[g])
-        sup = _superseded_ids_of(index_dirs[g], newer[g])
-        if len(sup):
-            sup_ref = ray.put(sup)
-
-            def _drop(t: pa.Table) -> pa.Table:
-                s = ray.get(sup_ref)
-                if not t.num_rows:
-                    return t
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-                pos = np.minimum(np.searchsorted(s, ids), len(s) - 1)
-                return t.filter(pa.array(~(s[pos] == ids)))
-
-            post = post.map_batches(_drop, batch_format="pyarrow", zero_copy_batch=True)
-        if dense and offsets[g]:
-            off = np.uint64(offsets[g])
-
-            def _remap(t: pa.Table) -> pa.Table:
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-                return t.set_column(
-                    t.schema.get_field_index("doc_id"),
-                    "doc_id",
-                    pa.array(ids + off, type=pa.uint64()),
-                )
-
-            post = post.map_batches(_remap, batch_format="pyarrow", zero_copy_batch=True)
-        return post.map_batches(
-            lambda t: t.select(["term", "doc_id", "tf", "dl"]),
-            batch_format="pyarrow",
+    posts, dms = [], []
+    for g, d in enumerate(index_dirs):
+        newer = [f for n in index_dirs[g + 1:] for f in _docmap_files(n)]
+        post, dm = _drop_urls(
+            d, _read_docmap(newer, ["url"]), broadcast_urls_threshold
         )
-
-    def _gen_docmap(g: int):
-        files = _docmap_files(index_dirs[g])
-        if not files:
-            return None
-        dm = rd.read_parquet(files)
-        if newer[g]:
-            drop_ref = ray.put(pa.array(sorted(newer[g]), type=pa.string()))
-
-            def _keep(t: pa.Table) -> pa.Table:
-                us = ray.get(drop_ref)
-                return t.filter(pc.invert(pc.is_in(t.column("url"), value_set=us)))
-
-            dm = dm.map_batches(_keep, batch_format="pyarrow")
-        if dense and offsets[g]:
-            off = np.uint64(offsets[g])
-
-            def _remap_dm(t: pa.Table) -> pa.Table:
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-                return t.set_column(
-                    t.schema.get_field_index("doc_id"),
-                    "doc_id",
-                    pa.array(ids + off, type=pa.uint64()),
-                )
-
-            dm = dm.map_batches(_remap_dm, batch_format="pyarrow")
-        dm_cols = pq.ParquetFile(files[0]).schema_arrow.names
-        return dm.map_batches(lambda t: t.select(dm_cols), batch_format="pyarrow")
-
-    merged = _gen_postings(0)
-    for g in range(1, G):
-        merged = merged.union(_gen_postings(g))
-    merged = merged.map_batches(
-        _route_batch,
-        fn_kwargs={"hot_salts": hot_out, "n_partitions": P, "id_space": id_space},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    merged.write_parquet(raw_root, partition_cols=["part_id"])
-
-    dm_out = None
-    for g in range(G):
-        dmg = _gen_docmap(g)
-        if dmg is None:
-            continue
-        dm_out = dmg if dm_out is None else dm_out.union(dmg)
-    if dm_out is not None:
-        dm_out.write_parquet(docmap_dir)
+        posts.append(_shift_ids(post, offsets[g]))
+        files = _docmap_files(d)
+        if files:
+            dm_cols = pq.ParquetFile(files[0]).schema_arrow.names
+            dms.append(_select(_shift_ids(dm, offsets[g]), dm_cols))
+    _write_raw(posts[0].union(*posts[1:]), raw_root, hot_out, P, id_space)
+    if dms:
+        dms[0].union(*dms[1:]).write_parquet(docmap_dir)
     os.makedirs(docmap_dir, exist_ok=True)
     progress["phase1_complete"] = True
     save_progress(out_dir, progress)
 
     return _encode_and_commit(out_dir, m0.config, P, hot_out, progress, list(index_dirs))
-
-
-def _superseded_ids_of(index_dir: str, newer_urls: set) -> np.ndarray:
-    """Sorted uint64 doc_ids of an index whose url appears in a newer
-    generation (driver-side scan of the docmap url/doc_id columns — the
-    broadcast regime's bound: |newer_urls| <= broadcast_urls_threshold)."""
-    if not newer_urls:
-        return np.empty(0, dtype=np.uint64)
-    vs = pa.array(sorted(newer_urls), type=pa.string())
-    parts: list[np.ndarray] = []
-    for f in _docmap_files(index_dir):
-        t = pq.read_table(f, columns=["doc_id", "url"])
-        kept = t.column("doc_id").filter(pc.is_in(t.column("url"), value_set=vs))
-        parts.append(kept.to_numpy(zero_copy_only=False).astype(np.uint64))
-    if not parts:
-        return np.empty(0, dtype=np.uint64)
-    return np.sort(np.concatenate(parts))
 
 
 def delete_docs(
@@ -749,7 +513,6 @@ def delete_docs(
     resume: bool = False,
     n_partitions: int | None = None,
     broadcast_urls_threshold: int = 1 << 20,
-    join_partitions: int | None = None,
 ) -> IndexManifest:
     """Tombstone deletion as compaction: produce a fresh index at
     `out_dir` equal to `base_dir` minus the documents whose url is in
@@ -759,12 +522,10 @@ def delete_docs(
     a doc-id filter and re-encode with the base's own hot-term salting,
     partitioning and checkpointed phase-2 tail.
 
-    `urls` is a list[str] (driver-sized, always broadcast) or a Dataset
-    with a `url` column (regime-gated like merge_indexes: broadcast set
-    under `broadcast_urls_threshold`, distributed LEFT OUTER marker join
-    above).  Deleting a url absent from the index is a no-op, like the
-    reference's skip semantics.  Resumable exactly like merge/build."""
-    import ray
+    `urls` is a list[str] or a Dataset with a `url` column, dropped
+    through `regime_join` like merge_indexes' superseded urls.  Deleting
+    a url absent from the index is a no-op, like the reference's skip
+    semantics.  Resumable exactly like merge/build."""
     import ray.data as rd
 
     base_m = IndexManifest.load(base_dir)
@@ -802,132 +563,18 @@ def delete_docs(
         shutil.rmtree(raw_root, ignore_errors=True)
         shutil.rmtree(docmap_dir, ignore_errors=True)
 
-        base_dm_files = _docmap_files(base_dir)
-        base_post = postings_ds(base_dir)
-        base_dm = (
-            rd.read_parquet(base_dm_files)
-            if base_dm_files
-            else rd.from_arrow(pa.table({"doc_id": pa.array([], type=pa.uint64())}))
-        )
-
-        url_list = None
         if isinstance(urls, (list, tuple, set, frozenset)):
-            url_list = sorted(str(u) for u in urls)
-        elif hasattr(urls, "count"):  # Dataset with a url column
-            if urls.count() <= broadcast_urls_threshold:
-                url_list = sorted(
-                    str(r["url"]) for r in urls.select_columns(["url"]).take_all()
-                )
-        else:
+            urls = sorted(str(u) for u in urls)
+            urls = rd.from_arrow(pa.table({"url": pa.array(urls, type=pa.string())}))
+        elif not hasattr(urls, "count"):
             raise TypeError(f"urls must be a list or a Dataset, got {type(urls)}")
-
-        if url_list is not None:
-            # ---- broadcast regime (same kernels as merge_indexes) ----
-            urls_ref = ray.put(pa.array(url_list, type=pa.string()))
-
-            def _del_ids(t: pa.Table) -> pa.Table:
-                us = ray.get(urls_ref)
-                mask = pc.is_in(t.column("url"), value_set=us)
-                return pa.table({"doc_id": t.column("doc_id").filter(mask)})
-
-            sup = (
-                np.sort(
-                    np.array(
-                        [
-                            r["doc_id"]
-                            for r in base_dm.map_batches(
-                                _del_ids, batch_format="pyarrow"
-                            ).take_all()
-                        ],
-                        dtype=np.uint64,
-                    )
-                )
-                if url_list
-                else np.empty(0, dtype=np.uint64)
-            )
-            sup_ref = ray.put(sup)
-
-            def _drop_deleted(t: pa.Table) -> pa.Table:
-                s = ray.get(sup_ref)
-                if not len(s) or not t.num_rows:
-                    return t
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-                pos = np.minimum(np.searchsorted(s, ids), len(s) - 1)
-                return t.filter(pa.array(~(s[pos] == ids)))
-
-            base_post = base_post.map_batches(
-                _drop_deleted, batch_format="pyarrow", zero_copy_batch=True
-            )
-
-            def _drop_deleted_dm(t: pa.Table) -> pa.Table:
-                us = ray.get(urls_ref)
-                return t.filter(pc.invert(pc.is_in(t.column("url"), value_set=us)))
-
-            dm_out = base_dm.map_batches(_drop_deleted_dm, batch_format="pyarrow")
-        else:
-            # ---- join regime: the url Dataset stays distributed ----
-            jp = join_partitions or max(
-                2, int(ray.cluster_resources().get("CPU", 8)) // 2
-            )
-            marker = urls.select_columns(["url"]).map_batches(
-                lambda t: t.append_column(
-                    "m", pa.array(np.ones(t.num_rows, dtype=np.int8), type=pa.int8())
-                ),
-                batch_format="pyarrow",
-            )
-            dm_joined = base_dm.join(marker, "left_outer", jp, on=("url",)).materialize()
-            dm_out = dm_joined.map_batches(
-                lambda t: t.filter(pc.is_null(t.column("m"))).drop_columns(["m"]),
-                batch_format="pyarrow",
-            )
-
-            def _del_keys(t: pa.Table) -> pa.Table:
-                kept = t.filter(pc.is_valid(t.column("m")))
-                ids = (
-                    kept.column("doc_id")
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.uint64)
-                )
-                return pa.table(
-                    {
-                        "jkey": pa.array(ids.view(np.int64), type=pa.int64()),
-                        "m2": pa.array(
-                            np.ones(len(ids), dtype=np.int8), type=pa.int8()
-                        ),
-                    }
-                )
-
-            del_keys = dm_joined.map_batches(_del_keys, batch_format="pyarrow")
-            base_post = (
-                base_post.map_batches(_jkey, batch_format="pyarrow")
-                .join(del_keys, "left_outer", jp, on=("jkey",))
-                .map_batches(
-                    lambda t: t.filter(pc.is_null(t.column("m2"))).drop_columns(
-                        ["jkey", "m2"]
-                    ),
-                    batch_format="pyarrow",
-                )
-            )
-
-        _POST_COLS = ["term", "doc_id", "tf", "dl"]
-        routed = base_post.map_batches(
-            lambda t: t.select(_POST_COLS), batch_format="pyarrow"
-        ).map_batches(
-            _route_batch,
-            fn_kwargs={
-                "hot_salts": hot_out,
-                "n_partitions": P,
-                "id_space": id_space,
-            },
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+        base_post, dm_out = _drop_urls(
+            base_dir, urls.select_columns(["url"]), broadcast_urls_threshold
         )
-        routed.write_parquet(raw_root, partition_cols=["part_id"])
+        _write_raw(base_post, raw_root, hot_out, P, id_space)
+        base_dm_files = _docmap_files(base_dir)
         if base_dm_files:
-            dm_cols = pq.ParquetFile(base_dm_files[0]).schema_arrow.names
-            dm_out = dm_out.map_batches(
-                lambda t: t.select(dm_cols), batch_format="pyarrow"
-            )
+            dm_out = _select(dm_out, pq.ParquetFile(base_dm_files[0]).schema_arrow.names)
         dm_out.write_parquet(docmap_dir)
         os.makedirs(docmap_dir, exist_ok=True)  # 0-row write creates no dir
         progress["phase1_complete"] = True

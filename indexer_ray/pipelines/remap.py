@@ -22,11 +22,9 @@ Distribution (nothing driver-sized anywhere):
   → exclusive prefix offsets (P ints on the driver), local sort +
   offset inside ``groupby(part).map_groups`` — the
   ccnet_perplexity_buckets two-pass rank shape, with string keys;
-* postings pass — two-regime id translation like the merge's
-  superseded-id drop: ``<= broadcast_docs_threshold`` docs ships the
-  sorted (old → new) arrays once via ``ray.put`` and remaps each batch
-  with one vectorized searchsorted; above the threshold the postings
-  hash-join the mapping on the int64 id view, fully distributed;
+* postings pass — the old → new id translation is one inner
+  ``regime_join`` of the postings with the mapping, gated on
+  ``broadcast_docs_threshold``;
 * encode — the build's phase-2 encoder verbatim via merge's
   ``_encode_and_commit`` (per-partition checkpoints, ``_meta.json``
   lineage, manifest-last commit).
@@ -58,10 +56,10 @@ from indexer_ray.pipelines.merge import (
     _docmap_files,
     _docmap_rows,
     _encode_and_commit,
-    _jkey,
-    _route_batch,
+    _write_raw,
     postings_ds,
 )
+from indexer_ray.stages.shuffle import INNER, regime_join
 from indexer_ray.state.manifest import (
     IndexManifest,
     load_progress,
@@ -95,9 +93,6 @@ def remap_docids(
     """Rewrite `index_dir` at `out_dir` with ids re-assigned by the
     global (key_cols..., doc_id) rank.  Ray must already be initialised
     (driver contract).  Returns the new manifest."""
-    import ray
-    import ray.data as rd
-
     base_m = IndexManifest.load(index_dir)
     if not resume and (
         os.path.exists(os.path.join(out_dir, "progress.json"))
@@ -160,95 +155,25 @@ def remap_docids(
         ).write_parquet(docmap_dir)
         os.makedirs(docmap_dir, exist_ok=True)
 
-        mapping = ranked.select_columns(["old_doc_id", "doc_id"])
-        post = postings_ds(index_dir)
-
-        if n_docs <= broadcast_docs_threshold:
-            # broadcast regime: sorted (old, new) arrays shipped ONCE
-            mp = mapping.to_pandas()
-            old = mp["old_doc_id"].to_numpy(dtype=np.uint64)
-            new = mp["doc_id"].to_numpy(dtype=np.uint64)
-            order = np.argsort(old, kind="mergesort")
-            map_ref = ray.put((old[order], new[order]))
-
-            def _remap_ids(t: pa.Table) -> pa.Table:
-                o, nw = ray.get(map_ref)
-                ids = (
-                    t.column("doc_id")
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.uint64)
-                )
-                # clamp before indexing: searchsorted returns len(o) for
-                # an id above every docmap id, which must surface as the
-                # missing-id RuntimeError, not an IndexError
-                pos = np.minimum(np.searchsorted(o, ids), max(len(o) - 1, 0))
-                if len(ids) and (len(o) == 0 or not (o[pos] == ids).all()):
-                    raise RuntimeError(
-                        "remap_docids: posting doc_id missing from docmap"
-                    )
-                return t.set_column(
-                    t.schema.get_field_index("doc_id"),
-                    "doc_id",
-                    pa.array(nw[pos], type=pa.uint64()),
-                )
-
-            post = post.map_batches(
-                _remap_ids, batch_format="pyarrow", zero_copy_batch=True
-            )
-            join_regime = False
-        else:
-            # join regime: everything stays distributed
-            jp = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-
-            def _map_j(t: pa.Table) -> pa.Table:
-                ids = (
-                    t.column("old_doc_id")
-                    .to_numpy(zero_copy_only=False)
-                    .astype(np.uint64)
-                )
-                return pa.table(
-                    {
-                        "jkey": pa.array(ids.view(np.int64), type=pa.int64()),
-                        "new_id": t.column("doc_id"),
-                    }
-                )
-
-            def _swap_id(t: pa.Table) -> pa.Table:
-                t = t.drop_columns(["doc_id", "jkey"])
-                return t.rename_columns(
-                    ["doc_id" if c == "new_id" else c for c in t.column_names]
-                )
-
-            mapping_j = mapping.map_batches(_map_j, batch_format="pyarrow")
-            post = (
-                post.map_batches(_jkey, batch_format="pyarrow")
-                .join(mapping_j, "inner", jp, on=("jkey",))
-                .map_batches(_swap_id, batch_format="pyarrow")
-            )
-            join_regime = True
-
-        _POST_COLS = ["term", "doc_id", "tf", "dl"]
-        routed = post.map_batches(
-            lambda t: t.select(_POST_COLS), batch_format="pyarrow"
-        ).map_batches(
-            _route_batch,
-            fn_kwargs={
-                "hot_salts": hot_out,
-                "n_partitions": P,
-                # dense rank space: salts split 0..n_docs-1 evenly
-                "id_space": n_docs,
-            },
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+        # (doc_id = old id, new_id): the join key keeps the postings' name
+        mapping = ranked.select_columns(["old_doc_id", "doc_id"]).map_batches(
+            lambda t: t.rename_columns(["doc_id", "new_id"]), batch_format="pyarrow"
         )
-        routed.write_parquet(raw_root, partition_cols=["part_id"])
-        if join_regime and total_postings:
-            # the inner join silently DROPS a posting whose doc_id is
-            # missing from the docmap (and repeats one whose old id is
-            # duplicated there); make the regimes consistent with
-            # the broadcast path's eager RuntimeError by comparing the
-            # written row count (parquet footer metadata only — no data
-            # read) against the manifest's posting total
+        post = regime_join(
+            postings_ds(index_dir), mapping, "doc_id", INNER, broadcast_docs_threshold
+        ).map_batches(
+            lambda t: t.set_column(
+                t.schema.get_field_index("doc_id"), "doc_id", t.column("new_id")
+            ).drop_columns(["new_id"]),
+            batch_format="pyarrow",
+        )
+        # dense rank space: salts split 0..n_docs-1 evenly
+        _write_raw(post, raw_root, hot_out, P, n_docs)
+        if total_postings:
+            # the inner join DROPS a posting whose doc_id is missing from
+            # the docmap and repeats one whose old id is duplicated there;
+            # the written row count (parquet footer metadata only — no
+            # data read) against the manifest's posting total catches both
             written = sum(
                 pq.ParquetFile(os.path.join(r, f)).metadata.num_rows
                 for r, _, fs in os.walk(raw_root)

@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from indexer_ray.stages.shuffle import routed_reduce
+from indexer_ray.stages.shuffle import join_parts, routed_reduce
 
 
 def _canon_one(u: str) -> str:
@@ -149,7 +149,6 @@ def crawl_diff(
     Output: (url, status) rows."""
     import hashlib
 
-    import ray
     import pyarrow.compute as pc
 
     def _digest(side: str):
@@ -181,9 +180,7 @@ def crawl_diff(
 
     a = old_ds.map_batches(_digest("old"), batch_format="pyarrow")
     b = new_ds.map_batches(_digest("new"), batch_format="pyarrow")
-    jp = num_partitions or max(
-        2, int(ray.cluster_resources().get("CPU", 8)) // 2
-    )
+    jp = num_partitions or join_parts()
     joined = a.join(b, "full_outer", jp, on=(url_col,))
 
     def _status(t: pa.Table) -> pa.Table:

@@ -215,7 +215,11 @@ def decode_blocks(
     values = decode_varints(np.frombuffer(joined, dtype=np.uint8))
     ns = ns.astype(np.int64, copy=False)
     n_total = int(ns.sum())
-    assert len(values) == 3 * n_total, (len(values), n_total)
+    if len(values) != 3 * n_total:
+        raise ValueError(
+            f"corrupt posting payload: {len(values)} varints for {n_total} "
+            f"postings (expected {3 * n_total})"
+        )
     block_value_starts = np.r_[0, np.cumsum(3 * ns)[:-1]]
     row_starts = np.r_[0, np.cumsum(ns)[:-1]]
     doc_out = np.empty(n_total, dtype=np.uint64)

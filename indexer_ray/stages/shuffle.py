@@ -23,6 +23,14 @@ This module owns the policy of which key goes to which reduce partition:
 Sites whose partition id carries meaning of its own (ordered range
 partitions, on-disk layouts) route by hand; this module is only for
 "which task reduces this key".
+
+It also owns the engine's one key-set join, ``regime_join``: a
+membership filter (semi/anti) or id lookup (inner) of a big Dataset
+against a smaller one.  At most ``threshold`` small rows ship to every
+task once via ``ray.put`` and each big batch runs one vectorized kernel;
+above it both sides hash-join (``Dataset.join`` over ``join_parts()``
+partitions).  Both regimes return the same rows in the same columns, so
+callers never see which one ran.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ import pyarrow.compute as pc
 from indexer_ray.functions.hashing import key_partition
 
 _PART = "__route_part"
+#: regime_join's join types (Ray's names)
+SEMI, ANTI, INNER = "left_semi", "left_anti", "inner"
+_JOIN_TYPES = (SEMI, ANTI, INNER)
 _MIX = np.uint64(0x100000001B3)
 
 
@@ -111,3 +122,150 @@ def routed_reduce(
     ]
     ds = routed[0].union(*routed[1:]) if len(routed) > 1 else routed[0]
     return ds.groupby(_PART).map_groups(_reduce, batch_format="pandas")
+
+
+def join_parts() -> int:
+    """Partition count for a distributed ``Dataset.join``: half the
+    cluster's CPUs, at least 2.  Ray's hash-join aggregators are actors
+    holding a CPU each; more partitions starve the map tasks feeding them
+    (observed deadlock at 64 partitions on a 4-cpu node)."""
+    import ray
+
+    return max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
+
+
+def driver_table(ds) -> pa.Table:
+    """Every row of a (small) Dataset as one Arrow table on the driver,
+    pulled block by block — never through per-row dicts."""
+    import ray
+
+    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
+    if blocks:
+        return pa.concat_tables(blocks, promote_options="default")
+    schema = ds.schema()
+    base = getattr(schema, "base_schema", None)
+    return base.empty_table() if isinstance(base, pa.Schema) else pa.table({})
+
+
+def _small_side(small: pa.Table, key: str, how: str):
+    """What the broadcast kernel needs of ``small``, null keys dropped:
+    the distinct keys for semi/anti; for inner the keys sorted (numpy)
+    and the non-key columns in the same order."""
+    if key not in small.column_names:  # empty small of unknown schema
+        small = pa.table({key: pa.array([], pa.null())})
+    small = small.filter(pc.is_valid(small.column(key)))
+    if how != INNER:
+        return pc.unique(small.column(key))
+    small = small.take(pc.sort_indices(small, [(key, "ascending")]))
+    return small.column(key).to_numpy(zero_copy_only=False), small.drop_columns([key])
+
+
+def _probe(t: pa.Table, side, key: str, how: str) -> pa.Table:
+    """One big batch against the broadcast small side."""
+    if how != INNER:
+        hit = (
+            pc.is_in(t.column(key), value_set=side)
+            if len(side)
+            else pa.array(np.zeros(t.num_rows, dtype=bool))
+        )
+        return t.filter(hit if how == SEMI else pc.invert(hit))
+    # sorted-key lookup: big row i pairs with small rows lo[i]..lo[i]+cnt[i]
+    keys, rest = side
+    valid = pc.is_valid(t.column(key)).to_numpy(zero_copy_only=False)
+    probe = t.column(key).filter(pa.array(valid)).to_numpy(zero_copy_only=False)
+    lo = np.zeros(t.num_rows, dtype=np.int64)
+    cnt = np.zeros(t.num_rows, dtype=np.int64)
+    lo[valid] = np.searchsorted(keys, probe, side="left")
+    cnt[valid] = np.searchsorted(keys, probe, side="right") - lo[valid]
+    rows = np.repeat(np.arange(t.num_rows), cnt)
+    within = np.arange(len(rows)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    right = rest.take(pa.array(np.repeat(lo, cnt) + within))
+    out = t.take(pa.array(rows))
+    for name, col in zip(right.column_names, right.columns):
+        out = out.append_column(name, col)
+    return out
+
+
+def _as_signed(t: pa.Table, key: str) -> pa.Table:
+    """int64 two's-complement view of a uint64 key: hash-join keys above
+    2^63 otherwise fall into a pickled-object path; the view is
+    bijective and keeps nulls."""
+    i = t.schema.get_field_index(key)
+    return t.set_column(i, key, pc.cast(t.column(i), pa.int64(), safe=False))
+
+
+def _as_unsigned(t: pa.Table, key: str) -> pa.Table:
+    i = t.schema.get_field_index(key)
+    return t.set_column(i, key, pc.cast(t.column(i), pa.uint64(), safe=False))
+
+
+def _lead_row(schema: pa.Schema, key: str, value):
+    """One-row Dataset typed ``schema``: ``key`` = ``value``, the rest null."""
+    import ray.data as rd
+
+    cols = {f.name: pa.array([value if f.name == key else None], f.type) for f in schema}
+    return rd.from_arrow(pa.table(cols))
+
+
+def _any_key(ds, key: str):
+    """Some non-null ``key`` value of a materialized Dataset, or None."""
+    import ray
+
+    for ref in ds.to_arrow_refs():
+        keys = pc.drop_null(ray.get(ref).column(key))
+        if len(keys):
+            return keys[0].as_py()
+    return None
+
+
+def regime_join(big, small, key: str, how: str, threshold: int):
+    """``big`` joined with ``small`` on column ``key``, SQL semantics:
+    ``left_semi`` keeps big rows whose key occurs in small, ``left_anti``
+    the others, ``inner`` pairs each big row with every small row of its
+    key (duplicate small keys fan out).  Null keys never match.  Output
+    columns: big's in big's order, then (``inner``) small's non-key
+    columns, which must not share a name with big's.
+
+    ``small`` is materialized once; at most ``threshold`` rows ship to
+    every task via ``ray.put`` (per big batch one ``pc.is_in``, or a
+    sorted-key ``searchsorted`` for inner; big is never shuffled), more
+    hash-join both sides over ``join_parts()`` partitions."""
+    import ray
+
+    if how not in _JOIN_TYPES:
+        raise ValueError(f"regime_join: how must be one of {_JOIN_TYPES}, got {how!r}")
+    small = small.materialize()
+    if small.count() <= threshold:
+        side_ref = ray.put(_small_side(driver_table(small), key, how))
+
+        def _broadcast(t: pa.Table) -> pa.Table:
+            return _probe(t, ray.get(side_ref), key, how)
+
+        return big.map_batches(_broadcast, batch_format="pyarrow", zero_copy_batch=True)
+
+    schema = big.schema()
+    if schema is None:  # no block ever produced: nothing to join
+        return big
+    schema = schema.base_schema
+    # Ray's hash join sends each side's schema to every partition with
+    # the side's FIRST block and skips 0-row blocks, so a side that starts
+    # empty reaches the join without its schema.  A one-row lead block,
+    # unioned first on each side, carries it.  Its key never survives:
+    # null (never matches), except big's under anti, which takes a small
+    # key so anti drops it (if small has no non-null key, anti is the
+    # identity).
+    lead_key = None
+    if how == ANTI:
+        lead_key = _any_key(small, key)
+        if lead_key is None:
+            return big
+    big = _lead_row(schema, key, lead_key).union(big)
+    small = _lead_row(small.schema().base_schema, key, None).union(small)
+    if pa.types.is_uint64(schema.field(key).type):
+        kw = {"fn_kwargs": {"key": key}, "batch_format": "pyarrow"}
+        big = big.map_batches(_as_signed, **kw)
+        small = small.map_batches(_as_signed, **kw)
+        return big.join(small, how, join_parts(), on=(key,)).map_batches(
+            _as_unsigned, **kw
+        )
+    return big.join(small, how, join_parts(), on=(key,))

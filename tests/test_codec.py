@@ -1,8 +1,13 @@
 """Codec property tests (SURVEY.md §5.6): varint round-trip, block build /
 decode round-trip, block-max metadata correctness."""
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,3 +128,41 @@ def test_empty():
         np.empty(0, dtype=np.uint64),
     )
     assert len(pa.Array.from_pandas(cols["term_code"])) == 0
+
+
+def _truncated_payload_args():
+    cols = encode_term_postings(
+        np.zeros(5, dtype=np.int64),
+        np.arange(0, 15, 3, dtype=np.uint64),
+        np.ones(5, dtype=np.uint64),
+        np.full(5, 100, dtype=np.uint64),
+        block_size=4,
+    )
+    payloads = [p.as_py() for p in cols["payload"]]
+    payloads[-1] = payloads[-1][:-1]  # drop the last block's final varint
+    return payloads, np.asarray(cols["n"]), np.asarray(cols["first_doc_id"])
+
+
+def test_decode_truncated_payload_raises():
+    with pytest.raises(ValueError, match="corrupt posting payload"):
+        decode_blocks(*_truncated_payload_args())
+
+
+def test_decode_truncated_payload_raises_under_optimize():
+    # a bare assert would vanish under -O and decode garbage
+    code = (
+        "from tests.test_codec import _truncated_payload_args\n"
+        "from indexer_ray.stages.codec import decode_blocks\n"
+        "try:\n"
+        "    decode_blocks(*_truncated_payload_args())\n"
+        "except ValueError as e:\n"
+        "    print('ValueError', e)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        cwd=pathlib.Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.startswith("ValueError corrupt posting payload"), out.stderr

@@ -192,6 +192,25 @@ def test_remap_duplicate_docmap_id_join_raises(built):
     assert "duplicate old doc_id in docmap" in str(ei.value)
 
 
+def test_remap_duplicate_docmap_id_broadcast_raises(built):
+    """The broadcast regime must reject a duplicated docmap row like the
+    join regime, not write a docmap with two rows for one url."""
+    from indexer_ray.pipelines.remap import remap_docids
+
+    root = built("dense")
+    idx = str(root / "idx")
+    f = next(
+        f
+        for f in sorted(glob.glob(os.path.join(idx, "docmap", "*.parquet")))
+        if pq.ParquetFile(f).metadata.num_rows
+    )
+    t = pq.read_table(f)
+    pq.write_table(pa.concat_tables([t, t.slice(0, 1)]), f)
+    with pytest.raises(RuntimeError) as ei:
+        remap_docids(idx, str(root / "out_dup_b"), key_cols=("url",))
+    assert "duplicate old doc_id in docmap" in str(ei.value)
+
+
 def test_remap_missing_docmap_id_join_raises(built):
     """The join regime must error like the broadcast regime instead of
     silently dropping unmapped postings."""

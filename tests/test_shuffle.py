@@ -1,4 +1,5 @@
-"""Routed shuffle helper (stages/shuffle.py): routing hash + routed reduce."""
+"""Routed shuffle helper (stages/shuffle.py): routing hash, routed reduce
+and the broadcast-or-join key-set join."""
 
 import numpy as np
 import pandas as pd
@@ -6,7 +7,7 @@ import pyarrow as pa
 import pytest
 
 from indexer_ray.functions.hashing import key_partition
-from indexer_ray.stages.shuffle import route_parts, routed_reduce
+from indexer_ray.stages.shuffle import regime_join, route_parts, routed_reduce
 
 
 def _str_keys():
@@ -125,3 +126,103 @@ def test_route_parts_process_independent(ray_session):
 def test_route_parts_in_range(n_parts):
     p = route_parts(_str_keys(), ["a", "b", "v"], n_parts)
     assert p.dtype == np.int32 and ((p >= 0) & (p < n_parts)).all()
+
+
+_BIG_KEYS = {
+    "uint64": (pa.uint64(), [5, 2**63 + 7, None, 5, 2**64 - 1, 11, 2**63 + 7]),
+    "string": (pa.string(), ["e", "x", None, "e", "z", "k", "x"]),
+}
+_SMALL_KEYS = {
+    "uint64": [2**63 + 7, 5, 2**63 + 7, None, 3],
+    "string": ["x", "e", "x", None, "c"],
+}
+
+
+def _join_inputs(key_type: str, case: str):
+    typ, big_keys = _BIG_KEYS[key_type]
+    small_keys = _SMALL_KEYS[key_type]
+    big = pa.table(
+        {
+            "v": pa.array(np.arange(len(big_keys)), type=pa.int64()),
+            "k": pa.array(big_keys, type=typ),
+        }
+    )
+    small = pa.table(
+        {
+            "k": pa.array(small_keys, type=typ),
+            "w": pa.array([f"s{i}" for i in range(len(small_keys))], type=pa.string()),
+        }
+    )
+    if case == "empty_big":
+        big = big.slice(0, 0)
+    elif case == "empty_small":
+        small = small.slice(0, 0)
+    elif case == "one_small":  # leaves a join partition with no small rows
+        small = small.slice(0, 1)
+    return big, small
+
+
+def _frame(t: pa.Table) -> pd.DataFrame:
+    return pd.DataFrame(
+        {c: pd.Series(t.column(c).to_pylist(), dtype=object) for c in t.column_names}
+    )
+
+
+def _sorted_rows(rows) -> list:
+    return sorted((tuple(r) for r in rows), key=repr)
+
+
+def _pandas_reference(big: pa.Table, small: pa.Table, how: str) -> list:
+    b, s = _frame(big), _frame(small)
+    s = s[s["k"].notna()]  # SQL: a null key never matches
+    if how == "inner":
+        out = b.merge(s, on="k", how="inner")
+    else:
+        hit = b.merge(s[["k"]].drop_duplicates(), on="k", how="left", indicator=True)
+        keep = (hit["_merge"] == "both") == (how == "left_semi")
+        out = hit.loc[keep, b.columns]
+    return _sorted_rows(out.itertuples(index=False, name=None))
+
+
+def _collect(ds):
+    """(sorted rows, schema of the non-empty blocks or None).  Ray's map
+    operators skip 0-row blocks, so an empty output has no schema to
+    compare."""
+    import ray
+
+    blocks = [b for b in ray.get(ds.materialize().to_arrow_refs()) if b.num_rows]
+    rows = _sorted_rows(tuple(r.values()) for b in blocks for r in b.to_pylist())
+    return rows, blocks[0].schema if blocks else None
+
+
+@pytest.mark.parametrize("case", ["full", "one_small", "empty_small", "empty_big"])
+@pytest.mark.parametrize("key_type", ["uint64", "string"])
+@pytest.mark.parametrize("how", ["left_semi", "left_anti", "inner"])
+def test_regime_join_regimes_agree_with_pandas(ray_session, how, key_type, case):
+    import ray.data as rd
+
+    big, small = _join_inputs(key_type, case)
+
+    def run(threshold):
+        # leading empty blocks: Ray's hash join takes each side's schema
+        # from its first block
+        b = rd.from_arrow([big.slice(0, 0), big.slice(0, 3), big.slice(3)])
+        s = rd.from_arrow([small.slice(0, 0), small.slice(0, 1), small.slice(1)])
+        return _collect(regime_join(b, s, "k", how, threshold))
+
+    bc_rows, bc_schema = run(10**9)
+    j_rows, j_schema = run(0)
+    assert bc_rows == j_rows == _pandas_reference(big, small, how)
+    assert bc_schema == j_schema
+    if bc_rows:
+        want_cols = big.column_names + (["w"] if how == "inner" else [])
+        assert bc_schema.names == want_cols
+        assert bc_schema.field("k").type == big.schema.field("k").type
+
+
+def test_regime_join_rejects_other_join_types(ray_session):
+    import ray.data as rd
+
+    ds = rd.from_arrow(pa.table({"k": pa.array([1], type=pa.int64())}))
+    with pytest.raises(ValueError, match="left_semi"):
+        regime_join(ds, ds, "k", "left_outer", 10)
