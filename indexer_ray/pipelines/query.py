@@ -14,7 +14,8 @@ Two scorers sharing one decode path:
     payload (inlined norms), avgdl/N from the manifest.
 
 Two algorithms, both exact:
-  * exhaustive — decode every matching block, vectorized numpy accumulate;
+  * exhaustive — decode every matching block, merge the per-term doc-sorted
+    runs and sum each doc's contributions in term order (`_sum_runs`);
   * block-max WAND ("wand") — document-at-a-time at BLOCK granularity:
     blocks carry (first_doc_id, last_doc_id, max_tf, min_dl), giving a
     per-block upper bound on the term's contribution; the cursor sweep
@@ -55,19 +56,22 @@ class _TermBlocks:
     ``dec_blocks`` is the per-BLOCK analogue for the WAND path, which only
     touches the blocks its upper bounds can't skip.  Once ``decoded`` is
     set, block reads are slices of it and ``dec_blocks`` is emptied, so a
-    term never holds two decoded copies: the 24-bytes-per-posting share
-    `_tb_size` charges to the searcher's block-LRU budget covers both."""
+    term never holds two decoded copies.  ``contrib`` caches the decoded
+    postings' score contributions for the (scorer, weight, avgdl) in
+    ``contrib_key``; a query with another key recomputes it in place.  The
+    32 bytes per posting `_tb_size` charges to the searcher's block-LRU
+    budget cover the three decoded arrays and ``contrib``."""
 
     __slots__ = (
         "term", "df", "first", "last", "n", "max_tf", "min_dl", "payloads",
-        "decoded", "starts", "dec_blocks",
+        "decoded", "starts", "dec_blocks", "contrib", "contrib_key",
     )
 
     def __init__(self, term, df, first, last, n, max_tf, min_dl, payloads):
         self.term, self.df = term, df
         self.first, self.last, self.n = first, last, n
         self.max_tf, self.min_dl, self.payloads = max_tf, min_dl, payloads
-        self.decoded = self.starts = None
+        self.decoded = self.starts = self.contrib = self.contrib_key = None
         self.dec_blocks: dict[int, tuple] = {}
 
     def decode_all(self):
@@ -79,11 +83,9 @@ class _TermBlocks:
         return self.decoded
 
     def decode_block(self, cur: int):
-        if self.decoded is not None:
-            lo = self.starts[cur]
-            hi = lo + self.n[cur]
-            doc_ids, tfs, dls = self.decoded
-            return doc_ids[lo:hi], tfs[lo:hi], dls[lo:hi]
+        """Block ``cur`` decoded on its own (cached in ``dec_blocks``), for
+        a term not yet fully decoded; after ``decode_all``, block ``cur`` is
+        ``decoded[starts[cur] : starts[cur] + n[cur]]``."""
         raw = self.dec_blocks.get(cur)
         if raw is None:
             doc_ids, tfs, dls, _ = decode_blocks(
@@ -91,6 +93,48 @@ class _TermBlocks:
             )
             raw = self.dec_blocks[cur] = (doc_ids, tfs, dls)
         return raw
+
+
+def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray]):
+    """Per-doc score sums over several (doc_ids, contributions) runs, one per
+    query term in term order, each sorted by doc_id with unique ids.
+
+    Returns (doc_ids ascending and unique, sums).  One run is returned as
+    is.  Several are merged by a stable argsort — timsort merges the
+    pre-sorted runs, and equal ids keep their run order — and summed with
+    ``np.bincount``, which adds each doc's contributions one by one in that
+    order, starting from 0.0: float-order parity with the spec scorer
+    (tree.rs:418/445-449), for any uint64 ids."""
+    if len(doc_runs) == 1:
+        return doc_runs[0], contrib_runs[0]
+    docs = np.concatenate(doc_runs)
+    order = np.argsort(docs, kind="stable")
+    docs = docs[order]
+    first = np.empty(len(docs), dtype=bool)
+    first[:1] = True
+    np.not_equal(docs[1:], docs[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    sums = np.bincount(group, weights=np.concatenate(contrib_runs)[order])
+    return docs[first], sums
+
+
+def _top_k(docs: np.ndarray, scores: np.ndarray, k: int | None) -> list[tuple[int, float]]:
+    """[(doc_id, score)] sorted (score desc, doc_id asc), exact-zero scores
+    dropped (Q6, tree.rs:457); the first k, or all when k is None."""
+
+    def kth_of(s):
+        return np.partition(s, len(s) - k)[len(s) - k] if k is not None and k < len(s) else None
+
+    kth = kth_of(scores)
+    if kth is None or not kth > 0.0:
+        # a zero could reach the top k: drop the zeros, then select
+        nz = scores != 0.0
+        docs, scores = docs[nz], scores[nz]
+        kth = kth_of(scores)
+    idx = np.arange(len(scores)) if kth is None else np.flatnonzero(scores >= kth)  # ALL boundary ties
+    order = idx[np.lexsort((docs[idx], -scores[idx]))]
+    items = [(int(d), float(s)) for d, s in zip(docs[order], scores[order])]
+    return items if k is None else items[:k]
 
 
 class IndexSearcher:
@@ -220,7 +264,8 @@ class IndexSearcher:
     @staticmethod
     def _tb_size(tb: _TermBlocks) -> int:
         # payloads + block metadata + the lazily-decoded arrays (3 x uint64)
-        return sum(len(p) for p in tb.payloads) + 40 * len(tb.n) + 24 * int(tb.n.sum())
+        # + the cached contributions (float64)
+        return sum(len(p) for p in tb.payloads) + 40 * len(tb.n) + 32 * int(tb.n.sum())
 
     def _read_term_blocks(self, term: str) -> _TermBlocks | None:
         firsts, lasts, ns, mtfs, mdls, pays = [], [], [], [], [], []
@@ -299,6 +344,19 @@ class IndexSearcher:
         norm = tff + K1 * (1.0 - B + B * dls.astype(np.float64) / self._eff_avgdl)
         return w * tff * (K1 + 1.0) / norm
 
+    def _term_contrib(self, scorer: str, w: float, tb: _TermBlocks) -> np.ndarray:
+        """Contributions of every posting of ``tb`` (decoded here if needed),
+        cached on ``tb`` under everything they depend on besides the
+        postings: the scorer, the term's weight (which carries n_docs, df and
+        the query multiplicity) and the effective avgdl."""
+        key = (scorer, w, self._eff_avgdl)
+        if tb.contrib_key != key:
+            _, tfs, dls = tb.decode_all()
+            tb.contrib = self._contrib(scorer, w, tfs, dls)
+            tb.contrib.flags.writeable = False
+            tb.contrib_key = key
+        return tb.contrib
+
     def _block_ub(self, scorer: str, w: float, max_tf: np.ndarray, min_dl: np.ndarray) -> np.ndarray:
         if scorer == "tfidf":
             return w * max_tf.astype(np.float64)
@@ -346,30 +404,13 @@ class IndexSearcher:
         return self._search_exhaustive(terms, k, scorer)
 
     def _search_exhaustive(self, terms, k, scorer) -> list[tuple[int, float]]:
-        # Vectorized accumulate: concatenate per-term postings in query-term
-        # order, group-sum with np.add.at (processes elements in array order,
-        # so each doc's contributions still add in term order — float-order
-        # parity with the spec scorer, tree.rs:418/445-449).
-        doc_parts, contrib_parts = [], []
-        for _, w, tb in terms:
-            doc_ids, tfs, dls = tb.decode_all()
-            doc_parts.append(doc_ids)
-            contrib_parts.append(self._contrib(scorer, w, tfs, dls))
-        all_docs = np.concatenate(doc_parts)
-        all_contrib = np.concatenate(contrib_parts)
-        uniq, inv = np.unique(all_docs, return_inverse=True)
-        scores = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(scores, inv, all_contrib)
-        nz = scores != 0.0  # Q6: exact-zero results dropped (tree.rs:457)
-        uniq, scores = uniq[nz], scores[nz]
-        if k is not None and k < len(scores):
-            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-            idx = np.flatnonzero(scores >= kth)  # includes ALL boundary ties
-        else:
-            idx = np.arange(len(scores))
-        order = idx[np.lexsort((uniq[idx], -scores[idx]))]
-        items = [(int(d), float(s)) for d, s in zip(uniq[order], scores[order])]
-        return items if k is None else items[:k]
+        # Per-term doc-sorted runs of cached contributions, in query-term
+        # order; `_sum_runs` adds each doc's contributions in that order.
+        docs, scores = _sum_runs(
+            [tb.decode_all()[0] for _, _, tb in terms],
+            [self._term_contrib(scorer, w, tb) for _, w, tb in terms],
+        )
+        return _top_k(docs, scores, k)
 
     def _search_wand(self, terms, k, scorer) -> list[tuple[int, float]]:
         """Block-max WAND at block granularity — an interval sweep.
@@ -388,18 +429,24 @@ class IndexSearcher:
         cursors = [0] * n_t
         nblocks = [len(t[2].n) for t in terms]
         decoded: list[tuple | None] = [None] * n_t
-        INF = 1 << 66
         heap_scores = np.empty(0, dtype=np.float64)
         heap_docs = np.empty(0, dtype=np.uint64)
         theta = -math.inf
-        # pruning telemetry (read via self.last_wand_stats after a search):
-        # windows under/over θ and payload decodes actually avoided — the
-        # regression gate that keeps the skip path observable, not just
-        # equal to exhaustive
+        # pruning telemetry (read via self.last_wand_stats after a search),
+        # the regression gate that keeps the skip path observable, not just
+        # equal to exhaustive:
+        #   windows / windows_skipped — windows swept / skipped under θ;
+        #   blocks_decoded — blocks a surviving window scored (so
+        #     blocks_total - blocks_decoded blocks were never scored),
+        #     whether read from a cache or decoded for this query;
+        #   payload_decodes — blocks the codec actually decoded during the
+        #     sweep (`decode_block` misses; the sweep never calls
+        #     `decode_all`, and a fully-decoded term's blocks are slices)
         stats = {
             "windows": 0,
             "windows_skipped": 0,
             "blocks_decoded": 0,
+            "payload_decodes": 0,
             "blocks_total": int(sum(nblocks)),
         }
         self.last_wand_stats = stats
@@ -441,10 +488,16 @@ class IndexSearcher:
                 for t in active:
                     if decoded[t] is None:
                         stats["blocks_decoded"] += 1
-                        tb = terms[t][2]
+                        _, w, tb = terms[t]
                         cur = cursors[t]
-                        doc_ids, tfs, dls = tb.decode_block(cur)
-                        decoded[t] = (doc_ids, self._contrib(scorer, terms[t][1], tfs, dls))
+                        if tb.decoded is not None:
+                            lo_p = tb.starts[cur]
+                            span = slice(lo_p, lo_p + tb.n[cur])
+                            decoded[t] = (tb.decoded[0][span], self._term_contrib(scorer, w, tb)[span])
+                        else:
+                            stats["payload_decodes"] += cur not in tb.dec_blocks
+                            doc_ids, tfs, dls = tb.decode_block(cur)
+                            decoded[t] = (doc_ids, self._contrib(scorer, w, tfs, dls))
                     doc_ids, contrib = decoded[t]
                     # decoded doc_ids are sorted: window slice via searchsorted.
                     # scalars MUST be uint64: a python int would promote the
@@ -456,15 +509,7 @@ class IndexSearcher:
                         d_parts.append(doc_ids[a:b])
                         c_parts.append(contrib[a:b])
                 if d_parts:
-                    dcat = np.concatenate(d_parts)
-                    ccat = np.concatenate(c_parts)
-                    if len(d_parts) == 1:
-                        push_candidates(dcat, ccat)
-                    else:
-                        uniq, inv = np.unique(dcat, return_inverse=True)
-                        sums = np.zeros(len(uniq), dtype=np.float64)
-                        np.add.at(sums, inv, ccat)
-                        push_candidates(uniq, sums)
+                    push_candidates(*_sum_runs(d_parts, c_parts))
             for t in active:
                 if l[t] <= boundary:
                     cursors[t] += 1

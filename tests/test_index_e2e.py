@@ -9,7 +9,7 @@ from indexer_ray.conformance.scorer import brute_force_bm25_topk, brute_force_tf
 from indexer_ray.functions.hashing import hash64_str
 from indexer_ray.pipelines.build import BuildConfig, build_index
 from indexer_ray.pipelines.query import IndexSearcher
-from indexer_ray.sources.pages import reference_queries
+from indexer_ray.sources.pages import make_vocab, reference_queries
 
 
 @pytest.fixture(scope="module", params=["dense", "hash"])
@@ -125,6 +125,66 @@ def test_wand_then_exhaustive_keeps_one_decoded_copy(built):
             assert s.search(q["query"], k=3, scorer=scorer, algorithm="wand") == expected
             assert all(not tb.dec_blocks for tb in s._blocks_cache.values())
     assert block_cached, "no reference query made WAND decode a block"
+
+
+def test_wand_skips_blocks_on_common_plus_rare_query(built):
+    """block_size=16 gives the hot term several blocks.  With k=1 the rare
+    term's doc sets θ early, so a cold searcher's sweep scores fewer blocks
+    than the query's terms hold, decodes each scored block at most once,
+    and still ranks exactly; a warm rerun scores the same blocks and
+    decodes none."""
+    index_dir, _, _ = built
+    hot = make_vocab()[0]
+    q = f"{hot} needle17"
+    s = IndexSearcher(index_dir)
+    assert len(s._load_term_blocks(tokenize(hot)[0]).n) > 1
+    got = s.search(q, k=1, scorer="bm25", algorithm="wand")
+    st = dict(s.last_wand_stats)
+    assert st["blocks_decoded"] < st["blocks_total"]
+    assert 0 < st["payload_decodes"] <= st["blocks_decoded"]
+    assert got == IndexSearcher(index_dir).search(q, k=1, scorer="bm25", algorithm="exhaustive")
+    assert s.search(q, k=1, scorer="bm25", algorithm="wand") == got
+    assert s.last_wand_stats["blocks_decoded"] == st["blocks_decoded"]
+    assert s.last_wand_stats["payload_decodes"] == 0
+
+
+def test_cached_contributions_follow_scoring_inputs(built):
+    """One searcher with a small block budget, calls alternating scorer,
+    algorithm, global_stats (avgdl alone, n_docs and df alone, all three),
+    duplicate query tokens and k beyond the match count: every call
+    equals a fresh searcher's, and the LRU's byte count stays the sum of
+    its entries' charges, within budget."""
+    index_dir, manifest, _ = built
+    vocab = make_vocab()
+    hot, mid = vocab[0], vocab[100]
+    t_hot, t_mid = tokenize(hot)[0], tokenize(mid)[0]
+    queries = [f"{hot} {mid}", mid, f"{mid} {mid}", f"{hot} {hot} needle17", f"{vocab[3]} {vocab[7]}"]
+    # each entry changes one input of the one before: avgdl alone, then
+    # n_docs and df alone (the weight), then all three
+    stats = [
+        None,
+        {"n_docs": manifest.n_docs, "avgdl": 2 * manifest.avgdl},
+        {"n_docs": 1000, "avgdl": 2 * manifest.avgdl, "df": {t_hot: 600}},
+        {"n_docs": 300, "avgdl": 9.5, "df": {t_mid: 7}},
+    ]
+    budget = 16 << 10
+    s = IndexSearcher(index_dir, blocks_cache_bytes=budget)
+    loaded = set()
+    for _ in range(2):
+        for q in queries:
+            loaded.update(tokenize(q))
+            for scorer in ("bm25", "tfidf"):
+                for gs in stats:
+                    for algorithm in ("exhaustive", "wand"):
+                        for k in (3, 1000):
+                            kw = dict(k=k, scorer=scorer, algorithm=algorithm, global_stats=gs)
+                            got = s.search(q, **kw)
+                            assert got == IndexSearcher(index_dir).search(q, **kw), (q, kw)
+                            assert s._blocks_cache_bytes == sum(
+                                s._tb_size(tb) for tb in s._blocks_cache.values()
+                            )
+                            assert s._blocks_cache_bytes <= budget
+    assert len(s._blocks_cache) < len(loaded), "the budget never evicted a term"
 
 
 def test_url_resolution(built):

@@ -1,0 +1,66 @@
+"""The warm query kernel's per-doc summing (`_sum_runs`) equals the
+`np.unique` + `np.add.at` reference accumulate, bit for bit."""
+
+import numpy as np
+import pytest
+
+from indexer_ray.pipelines.query import _sum_runs
+
+
+def _unique_add_at(doc_runs, contrib_runs):
+    uniq, inv = np.unique(np.concatenate(doc_runs), return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.float64)
+    np.add.at(sums, inv, np.concatenate(contrib_runs))
+    return uniq, sums
+
+
+def _runs(rng, n_runs, universe, size, base):
+    """n_runs doc-sorted unique-id runs drawn from ``universe`` ids above
+    ``base``, with contributions of mixed magnitude (so addition order
+    shows in the low bits)."""
+    doc_runs, contrib_runs = [], []
+    for _ in range(n_runs):
+        n = int(rng.integers(0, size + 1)) if rng.random() < 0.8 else 0
+        ids = np.sort(rng.choice(universe, size=min(n, universe), replace=False))
+        doc_runs.append(np.uint64(base) + ids.astype(np.uint64))
+        contrib_runs.append(rng.random(len(ids)) * 10.0 ** rng.integers(-8, 8, len(ids)))
+    return doc_runs, contrib_runs
+
+
+@pytest.mark.parametrize(
+    "universe, base",
+    [
+        (50, 0),  # runs overlap almost fully
+        (5_000, 0),  # partial overlap
+        (5_000, 2**63 + 12_345),  # hash ids >= 2^63
+        (300, 2**64 - 301),  # top of the uint64 range
+    ],
+)
+def test_sum_runs_equals_unique_add_at(universe, base):
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n_runs = 1 + seed % 6
+        doc_runs, contrib_runs = _runs(rng, n_runs, universe, 200, base)
+        docs, sums = _sum_runs(doc_runs, contrib_runs)
+        ref_docs, ref_sums = _unique_add_at(doc_runs, contrib_runs)
+        assert docs.dtype == np.uint64
+        assert np.array_equal(docs, ref_docs), seed
+        assert np.array_equal(sums.view(np.uint64), ref_sums.view(np.uint64)), seed
+
+
+@pytest.mark.parametrize("layout", ["disjoint", "identical"])
+@pytest.mark.parametrize("n_runs", range(1, 7))
+def test_sum_runs_disjoint_identical_and_empty_runs(layout, n_runs):
+    rng = np.random.default_rng(n_runs)
+    # every other run empty; the rest share no id (listed out of id order)
+    # or all hold the same ids
+    doc_runs, contrib_runs = [], []
+    for r in rng.permutation(n_runs):
+        n = 0 if r % 2 else 30
+        lo = r * 100 if layout == "disjoint" else 0
+        doc_runs.append(np.arange(lo, lo + n, dtype=np.uint64) + np.uint64(2**63))
+        contrib_runs.append(rng.random(n) * 10.0 ** rng.integers(-8, 8, n))
+    docs, sums = _sum_runs(doc_runs, contrib_runs)
+    ref_docs, ref_sums = _unique_add_at(doc_runs, contrib_runs)
+    assert np.array_equal(docs, ref_docs)
+    assert np.array_equal(sums.view(np.uint64), ref_sums.view(np.uint64))
