@@ -2327,9 +2327,10 @@ def _q_ann_quantized(sf_dir: str):
     """int8-quantized asymmetric ANN (4x memory vs float32).  The
     quantization is approximate RELATIVE TO true cosine but the pipeline
     itself is deterministic arithmetic — code = clip(round(x/||x||*127)),
-    score = (code/127) · q_unit — so DuckDB replays it exactly (unnest +
-    per-vector norm + the same round/clip/dot).  np.round is half-to-even
-    and DuckDB's is half-away-from-zero, but an exact .5 cannot arise
+    score = (code/127) · q_unit — so DuckDB's replay (unnest + per-vector
+    norm + the same round/clip/dot) is rank-stable up to float
+    accumulation order.  np.round is half-to-even and DuckDB's is
+    half-away-from-zero, but an exact .5 cannot arise
     from division by these irrational norms; ranks tie-break by vec_id
     and the float score column is dropped (ann_brute_topk stance).
     Recall vs true cosine separately pinned by test_quantized_ann_recall."""

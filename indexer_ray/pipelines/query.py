@@ -13,16 +13,19 @@ Two scorers sharing one decode path:
     scorer named by the north rule; doc length comes from the posting
     payload (inlined norms), avgdl/N from the manifest.
 
-Two algorithms, both exact:
-  * exhaustive — decode every matching block, merge the per-term doc-sorted
-    runs and sum each doc's contributions in term order (`_sum_runs`);
-  * block-max WAND ("wand") — document-at-a-time at BLOCK granularity:
-    blocks carry (first_doc_id, last_doc_id, max_tf, min_dl), giving a
-    per-block upper bound on the term's contribution; the cursor sweep
-    skips every block window whose summed upper bound is below the current
-    top-k threshold θ, and scores surviving windows with the same
-    vectorized kernel.  Skipping uses strict <, so tie candidates are never
-    lost; results are identical to exhaustive (tested).
+Two kernels, both exact:
+  * exhaustive — decode every matching posting list, merge the per-term
+    doc-sorted runs and sum each doc's contributions in term order
+    (`_sum_runs`); the reference the top-k kernel is tested against, and
+    the path for k=None;
+  * block-max MaxScore ("wand", and "auto" whenever k is given) — seeds
+    the top-k threshold θ from the full scores of the highest-bound term's
+    best postings, splits off the low-bound terms whose bounds cannot
+    reach θ together (non-essential), scores only the essential terms'
+    docs, and drops a candidate whose partial score plus the non-essential
+    terms' per-block bounds (from the blocks' max_tf, min_dl) is below θ.
+    Survivors are scored in full in term order, so results equal
+    exhaustive bit for bit (tested).
 
 Unlike the reference — which re-reads every segment dictionary from disk on
 every query (tree.rs:397-404) — term lookups are parquet reads pruned to the
@@ -52,47 +55,29 @@ class _TermBlocks:
     """All block metadata + payloads for one term, in global doc_id order.
 
     ``decoded`` lazily caches the fully-decoded (doc_ids, tfs, dls) arrays —
-    hot Zipf-head terms are decoded once per searcher, not once per query;
-    ``dec_blocks`` is the per-BLOCK analogue for the WAND path, which only
-    touches the blocks its upper bounds can't skip.  Once ``decoded`` is
-    set, block reads are slices of it and ``dec_blocks`` is emptied, so a
-    term never holds two decoded copies.  ``contrib`` caches the decoded
-    postings' score contributions for the (scorer, weight, avgdl) in
-    ``contrib_key``; a query with another key recomputes it in place.  The
-    32 bytes per posting `_tb_size` charges to the searcher's block-LRU
+    hot Zipf-head terms are decoded once per searcher, not once per query.
+    ``contrib`` caches the decoded postings' score contributions, and
+    ``contrib_max`` their largest, for the (scorer, weight, avgdl) in
+    ``contrib_key``; a query with another key recomputes both in place.
+    The 32 bytes per posting `_tb_size` charges to the searcher's block-LRU
     budget cover the three decoded arrays and ``contrib``."""
 
     __slots__ = (
         "term", "df", "first", "last", "n", "max_tf", "min_dl", "payloads",
-        "decoded", "starts", "dec_blocks", "contrib", "contrib_key",
+        "decoded", "contrib", "contrib_max", "contrib_key",
     )
 
     def __init__(self, term, df, first, last, n, max_tf, min_dl, payloads):
         self.term, self.df = term, df
         self.first, self.last, self.n = first, last, n
         self.max_tf, self.min_dl, self.payloads = max_tf, min_dl, payloads
-        self.decoded = self.starts = self.contrib = self.contrib_key = None
-        self.dec_blocks: dict[int, tuple] = {}
+        self.decoded = self.contrib = self.contrib_max = self.contrib_key = None
 
     def decode_all(self):
         if self.decoded is None:
-            # starts[b] = first posting of block b: cumsum(n), once per term
-            doc_ids, tfs, dls, self.starts = decode_blocks(self.payloads, self.n, self.first)
+            doc_ids, tfs, dls, _ = decode_blocks(self.payloads, self.n, self.first)
             self.decoded = (doc_ids, tfs, dls)
-            self.dec_blocks.clear()
         return self.decoded
-
-    def decode_block(self, cur: int):
-        """Block ``cur`` decoded on its own (cached in ``dec_blocks``), for
-        a term not yet fully decoded; after ``decode_all``, block ``cur`` is
-        ``decoded[starts[cur] : starts[cur] + n[cur]]``."""
-        raw = self.dec_blocks.get(cur)
-        if raw is None:
-            doc_ids, tfs, dls, _ = decode_blocks(
-                [self.payloads[cur]], self.n[cur : cur + 1], self.first[cur : cur + 1]
-            )
-            raw = self.dec_blocks[cur] = (doc_ids, tfs, dls)
-        return raw
 
 
 def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray]):
@@ -116,6 +101,17 @@ def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray]):
     group = np.cumsum(first) - 1
     sums = np.bincount(group, weights=np.concatenate(contrib_runs)[order])
     return docs[first], sums
+
+
+def _full_scores(ids: np.ndarray, doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray]):
+    """Scores of ``ids`` over the runs `_sum_runs` takes: each run's
+    contribution added into 0.0 in run order, a run lacking the doc adding
+    0.0 — bit-identical to `_sum_runs`' sums (contributions are >= 0)."""
+    out = np.zeros(len(ids))
+    for docs, contrib in zip(doc_runs, contrib_runs):
+        pos = np.minimum(np.searchsorted(docs, ids), len(docs) - 1)
+        out += np.where(docs[pos] == ids, contrib[pos], 0.0)
+    return out
 
 
 def _top_k(docs: np.ndarray, scores: np.ndarray, k: int | None) -> list[tuple[int, float]]:
@@ -338,6 +334,8 @@ class IndexSearcher:
         return out
 
     def _contrib(self, scorer: str, w: float, tfs: np.ndarray, dls: np.ndarray) -> np.ndarray:
+        # with a block's (max_tf, min_dl): the bound on the block's
+        # contributions, which grow with tf and shrink with dl
         if scorer == "tfidf":
             return w * tfs.astype(np.float64)
         tff = tfs.astype(np.float64)
@@ -354,15 +352,9 @@ class IndexSearcher:
             _, tfs, dls = tb.decode_all()
             tb.contrib = self._contrib(scorer, w, tfs, dls)
             tb.contrib.flags.writeable = False
+            tb.contrib_max = float(tb.contrib.max())
             tb.contrib_key = key
         return tb.contrib
-
-    def _block_ub(self, scorer: str, w: float, max_tf: np.ndarray, min_dl: np.ndarray) -> np.ndarray:
-        if scorer == "tfidf":
-            return w * max_tf.astype(np.float64)
-        mt = max_tf.astype(np.float64)
-        norm = mt + K1 * (1.0 - B + B * min_dl.astype(np.float64) / self._eff_avgdl)
-        return w * mt * (K1 + 1.0) / norm
 
     # ---- public API ----
 
@@ -376,6 +368,10 @@ class IndexSearcher:
     ) -> list[tuple[int, float]]:
         """Returns [(doc_id, score)] sorted (score desc, doc_id asc), top k.
         ``k=None`` returns all matches (exhaustive only).
+
+        ``algorithm`` "auto" and "wand" both run the pruning top-k kernel
+        (`_search_wand`) whenever k is given; "exhaustive", and any k=None
+        search, scores every match.  All return identical results.
 
         ``global_stats`` ({"n_docs", "avgdl", "df": {term: global_df}})
         overrides the local index statistics — the doc-sharded deployment
@@ -393,13 +389,7 @@ class IndexSearcher:
         terms = self._weights(q_tokens, scorer)
         if not terms:
             return []
-        if algorithm == "auto" and k is not None:
-            # Dense queries (candidate set ~ corpus) decode everything anyway;
-            # vectorized exhaustive beats the sweep there.  WAND pays off when
-            # upper-bound pruning can actually skip blocks — selective terms.
-            total_df = sum(tb.df for _, _, tb in terms)
-            algorithm = "wand" if total_df < 0.1 * max(self.n_docs, 1) else "exhaustive"
-        if algorithm == "wand" and k is not None:
+        if algorithm in ("auto", "wand") and k is not None:
             return self._search_wand(terms, k, scorer)
         return self._search_exhaustive(terms, k, scorer)
 
@@ -413,112 +403,72 @@ class IndexSearcher:
         return _top_k(docs, scores, k)
 
     def _search_wand(self, terms, k, scorer) -> list[tuple[int, float]]:
-        """Block-max WAND at block granularity — an interval sweep.
+        """Block-max MaxScore top-k (Turtle & Flood 1995, with per-block
+        bounds); equals `_search_exhaustive` exactly.
 
-        Doc-id space is processed left to right in maximal windows over which
-        the set of covering blocks ("active set") is constant.  A window is
-        skipped without decoding iff the summed block upper bounds of its
-        active set are STRICTLY below the current top-k threshold θ (a doc
-        scoring exactly θ can still win its tie on doc_id, so it is never
-        skipped).  Surviving windows are scored with the vectorized decode
-        kernel; decoded blocks are cached per cursor so a block spanning
-        several windows decodes once.  Exact: equals the exhaustive scorer.
-        """
-        n_t = len(terms)
-        ubs = [self._block_ub(scorer, w, tb.max_tf, tb.min_dl) for _, w, tb in terms]
-        cursors = [0] * n_t
-        nblocks = [len(t[2].n) for t in terms]
-        decoded: list[tuple | None] = [None] * n_t
-        heap_scores = np.empty(0, dtype=np.float64)
-        heap_docs = np.empty(0, dtype=np.uint64)
-        theta = -math.inf
-        # pruning telemetry (read via self.last_wand_stats after a search),
-        # the regression gate that keeps the skip path observable, not just
-        # equal to exhaustive:
-        #   windows / windows_skipped — windows swept / skipped under θ;
-        #   blocks_decoded — blocks a surviving window scored (so
-        #     blocks_total - blocks_decoded blocks were never scored),
-        #     whether read from a cache or decoded for this query;
-        #   payload_decodes — blocks the codec actually decoded during the
-        #     sweep (`decode_block` misses; the sweep never calls
-        #     `decode_all`, and a fully-decoded term's blocks are slices)
+        Contributions are >= 0, so a doc's partial score over some of its
+        terms is at most its full score, which is at most the partial score
+        plus the other terms' bounds.  θ, the smallest full score among the
+        k highest-contribution postings of the highest-bound term, is met by
+        k distinct docs, so no doc scoring below θ reaches the top k.  The
+        terms of the longest ascending-bound prefix whose bounds sum below θ
+        are non-essential: a doc holding only those terms scores below θ.
+        The essential terms' docs are the candidates; a candidate is dropped
+        when its partial score plus, per non-essential term, the bound of
+        the block covering it is below θ.  Survivors are scored in full —
+        contributions added into 0.0 in query-term order, the order of
+        `_sum_runs` — and ranked by `_top_k`.  Both cuts are strict (a doc
+        scoring exactly θ can still win its tie on doc_id) and lowered by a
+        relative margin that covers float rounding in the sums.
+
+        Telemetry, read via ``self.last_wand_stats`` by the benchmarks:
+          windows / windows_skipped — query terms / non-essential terms;
+          blocks_total — the query terms' blocks;
+          blocks_decoded — the essential terms' blocks plus the
+            non-essential blocks covering a survivor;
+          payload_decodes — blocks the codec decoded during this search (a
+            term's first touch decodes its whole list)."""
+        nblocks = [len(tb.n) for _, _, tb in terms]
         stats = {
-            "windows": 0,
+            "windows": len(terms),
             "windows_skipped": 0,
-            "blocks_decoded": 0,
-            "payload_decodes": 0,
-            "blocks_total": int(sum(nblocks)),
+            "blocks_decoded": sum(nblocks),
+            "payload_decodes": sum(nb for nb, (*_, tb) in zip(nblocks, terms) if tb.decoded is None),
+            "blocks_total": sum(nblocks),
         }
         self.last_wand_stats = stats
-
-        def push_candidates(docs: np.ndarray, scs: np.ndarray):
-            nonlocal heap_scores, heap_docs, theta
-            nz = scs != 0.0
-            docs, scs = docs[nz], scs[nz]
-            if len(docs) == 0:
-                return
-            heap_docs = np.concatenate([heap_docs, docs])
-            heap_scores = np.concatenate([heap_scores, scs])
-            if len(heap_scores) > 8 * k:
-                keep = np.lexsort((heap_docs, -heap_scores))[: 2 * k]
-                heap_docs, heap_scores = heap_docs[keep], heap_scores[keep]
-            if len(heap_scores) >= k:
-                theta = float(np.partition(heap_scores, -k)[-k])
-
-        cur_pos = 0
-        while True:
-            live = [t for t in range(n_t) if cursors[t] < nblocks[t]]
-            if not live:
-                break
-            f = {t: int(terms[t][2].first[cursors[t]]) for t in live}
-            l = {t: int(terms[t][2].last[cursors[t]]) for t in live}
-            # invariant: l[t] >= cur_pos for all live blocks
-            lo = min(max(f[t], cur_pos) for t in live)
-            active = [t for t in live if f[t] <= lo]
-            boundary = min(l[t] for t in active)
-            for t in live:
-                if f[t] > lo:
-                    boundary = min(boundary, f[t] - 1)
-            bound = sum(float(ubs[t][cursors[t]]) for t in active)
-            stats["windows"] += 1
-            if bound < theta:
-                stats["windows_skipped"] += 1
-            if bound >= theta:
-                d_parts, c_parts = [], []
-                for t in active:
-                    if decoded[t] is None:
-                        stats["blocks_decoded"] += 1
-                        _, w, tb = terms[t]
-                        cur = cursors[t]
-                        if tb.decoded is not None:
-                            lo_p = tb.starts[cur]
-                            span = slice(lo_p, lo_p + tb.n[cur])
-                            decoded[t] = (tb.decoded[0][span], self._term_contrib(scorer, w, tb)[span])
-                        else:
-                            stats["payload_decodes"] += cur not in tb.dec_blocks
-                            doc_ids, tfs, dls = tb.decode_block(cur)
-                            decoded[t] = (doc_ids, self._contrib(scorer, w, tfs, dls))
-                    doc_ids, contrib = decoded[t]
-                    # decoded doc_ids are sorted: window slice via searchsorted.
-                    # scalars MUST be uint64: a python int would promote the
-                    # uint64 array to float64 and round 64-bit ids at the
-                    # window boundary (observed: docs split across windows)
-                    a = int(np.searchsorted(doc_ids, np.uint64(lo), side="left"))
-                    b = int(np.searchsorted(doc_ids, np.uint64(boundary), side="right"))
-                    if a < b:
-                        d_parts.append(doc_ids[a:b])
-                        c_parts.append(contrib[a:b])
-                if d_parts:
-                    push_candidates(*_sum_runs(d_parts, c_parts))
-            for t in active:
-                if l[t] <= boundary:
-                    cursors[t] += 1
-                    decoded[t] = None
-            cur_pos = boundary + 1
-        if len(heap_scores) == 0:
-            return []
-        order = np.lexsort((heap_docs, -heap_scores))[:k]
-        return [(int(d), float(s)) for d, s in zip(heap_docs[order], heap_scores[order])]
+        docs = [tb.decode_all()[0] for _, _, tb in terms]
+        contribs = [self._term_contrib(scorer, w, tb) for _, w, tb in terms]
+        bounds = np.array([tb.contrib_max for _, _, tb in terms])
+        top = int(np.argmax(bounds))
+        theta = -np.inf  # one term, or the top term holds fewer than k postings
+        if len(terms) > 1 and len(docs[top]) >= k:
+            seeds = docs[top][np.argpartition(contribs[top], -k)[-k:]]
+            theta = _full_scores(seeds, docs, contribs).min()
+        # a float sum of n addends >= 0 is within n*eps/2 of exact, so a bound
+        # can round below the score it covers, by less than n*eps
+        cut = theta * (1.0 - 2 * len(terms) * np.finfo(np.float64).eps)
+        order = np.argsort(bounds, kind="stable")
+        n_non = int(np.searchsorted(np.cumsum(bounds[order]), cut, side="left"))
+        if n_non == 0:
+            return _top_k(*_sum_runs(docs, contribs), k)
+        ess = sorted(order[n_non:].tolist())
+        cand, bound = _sum_runs([docs[i] for i in ess], [contribs[i] for i in ess])
+        covering = []
+        for i in order[:n_non]:
+            _, w, tb = terms[i]
+            b = np.searchsorted(tb.last, cand)  # first block ending at or after the doc
+            bc = np.minimum(b, len(tb.last) - 1)
+            hit = (b < len(tb.last)) & (tb.first[bc] <= cand)
+            bound = bound + np.where(hit, self._contrib(scorer, w, tb.max_tf, tb.min_dl)[bc], 0.0)
+            covering.append((b, hit))
+        keep = bound >= cut
+        stats["windows_skipped"] = n_non
+        stats["blocks_decoded"] = sum(nblocks[i] for i in ess) + sum(
+            len(np.unique(b[keep & hit])) for b, hit in covering
+        )
+        survivors = cand[keep]
+        return _top_k(survivors, _full_scores(survivors, docs, contribs), k)
 
     # ---- boolean retrieval (beyond the reference: tree.rs scores OR-mode
     # only; conjunctive AND / AND-NOT is standard fulltext surface) ----
