@@ -43,6 +43,11 @@ from __future__ import annotations
 #: Ray releases the patched internals were read and tested against.
 _TESTED_RAY = {"2.49.2"}
 
+#: How often the hooks fired in this process: 0-row blocks replaced by
+#: typed empty blocks, all-empty schema-less bundles dropped, and hook
+#: exceptions (logged at debug level, the bundle passed on unpatched).
+FIRES = {"replaced": 0, "dropped": 0, "errors": 0}
+
 
 def _typed_empty_block(schema):
     """Build a 0-row block matching ``schema`` (a ray.data Schema
@@ -108,6 +113,7 @@ def apply() -> None:
                         (ray.put(repl), repl_meta) if m.num_rows == 0 else (ref, m)
                         for ref, m in bundle.blocks
                     )
+                    FIRES["replaced"] += sum(m.num_rows == 0 for m in bundle.metadata)
                     # a bundle with NO data rows has no schema
                     # information — adopt the target its blocks now
                     # carry (also silences the false divergence warn);
@@ -120,6 +126,7 @@ def apply() -> None:
                         output_split_idx=bundle.output_split_idx,
                     )
         except Exception:
+            FIRES["errors"] += 1
             logging.getLogger(__name__).debug(
                 "raypatch empty-block replacement failed", exc_info=True
             )
@@ -154,8 +161,10 @@ def apply() -> None:
                 self.num_completed_tasks += 1
                 if self.progress_bar:
                     self.progress_bar.update(0, self.op.num_output_rows_total())
+                FIRES["dropped"] += 1
                 return
         except Exception:
+            FIRES["errors"] += 1
             logging.getLogger(__name__).debug(
                 "raypatch empty-bundle drop failed", exc_info=True
             )

@@ -103,8 +103,8 @@ def mine_hard_negatives(
     rank is dense over negatives only.
 
     `qrels`: DataFrame (query_id, doc_id).  Returns (query_id, rank,
-    doc_id, score_q).  Per-query index search is the searcher's bounded
-    point-read path; qrels membership is a set probe (qrels for a query
+    doc_id, score_q).  Per-query index search goes through the searcher's
+    byte-budgeted cache of partition block tables; qrels membership is a set probe (qrels for a query
     set are small — judgments, not the corpus)."""
     import math
 

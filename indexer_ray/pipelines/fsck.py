@@ -16,7 +16,9 @@ partition decodes every posting block (the same vectorized
 codec.decode_blocks kernel queries use) and re-checks the build's
 invariants — decoded posting count == _meta.n_postings, dict row count ==
 _meta.n_terms, sum(dict.df) == n_postings (df counts per salt run, so the
-sum holds for salted terms too), per-block last_doc_id == last decoded id
+sum holds for salted terms too), each term's dict df == the sum of its
+blocks' n and blocks.parquet sorted by (term, block_id) (the two facts the
+searcher's term lookup rests on), per-block last_doc_id == last decoded id
 and doc ids strictly increasing within a block; one task per docmap file
 re-checks per-file doc_id uniqueness and aggregates (rows, doc_len) whose
 totals must equal manifest.n_docs / total_doc_len.  Cross-file doc_id
@@ -123,6 +125,23 @@ def _verify_part(batch: dict, index_dir: str) -> pa.Table:
         df_sum = int(pc.sum(d.column("df")).as_py() or 0)
         if df_sum != int(meta.get("n_postings", -1)):
             err.append(f"sum(df) {df_sum} != meta n_postings {meta.get('n_postings')}")
+        # the searcher finds a term's blocks by binary search over the
+        # term-sorted rows and takes its df as the sum of their n
+        terms = b.column("term").to_numpy(zero_copy_only=False)
+        bids = b.column("block_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        if not (
+            (terms[1:] > terms[:-1]) | ((terms[1:] == terms[:-1]) & (bids[1:] > bids[:-1]))
+        ).all():
+            err.append("blocks.parquet rows not sorted by (term, block_id)")
+        j = d.select(["term", "df"]).join(
+            b.group_by("term").aggregate([("n", "sum")]), "term", join_type="full outer"
+        )
+        bad = j.filter(pc.not_equal(pc.fill_null(j["df"], 0), pc.fill_null(j["n_sum"], 0)))
+        if bad.num_rows:
+            err.append(
+                f"{bad.num_rows} terms whose dict df != the sum of their blocks' n, "
+                f"e.g. {bad.column('term').to_pylist()[:3]}"
+            )
         ns = b.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
         try:
             doc, tf, dl, starts = decode_blocks(

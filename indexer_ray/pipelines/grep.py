@@ -26,7 +26,7 @@ pattern" at 100 TB without a full scan per query.
 Scale shape: the index build is one shuffle of ~len(text) 12-byte rows
 per doc (the substring_dup_stats cost class — that IS the Code Search
 design).  A query reads only the row groups of its literals' trigrams
-(point reads, like the dictionary df lookups), intersects rarest-first
+(point reads), intersects rarest-first
 with early exit, and the verify pass reads candidate docs by
 predicate-pushdown id read below `scan_threshold`, else streams the
 corpus through a broadcast member filter + one vectorized regex kernel.

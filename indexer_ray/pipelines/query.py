@@ -28,15 +28,19 @@ Two kernels, both exact:
     exhaustive bit for bit (tested).
 
 Unlike the reference — which re-reads every segment dictionary from disk on
-every query (tree.rs:397-404) — term lookups are parquet reads pruned to the
-term's partition(s) with predicate pushdown, and a small LRU caches dict
-partitions across queries.
+every query (tree.rs:397-404) — each partition's ``blocks.parquet`` is read
+once into memory.  A term's blocks are found by binary search over its
+term-sorted rows, and its df is the sum of their posting counts: the
+position lookup of the reference's TermInfo (tree.rs:116-125).  Partitions
+and per-term postings share one byte-budgeted LRU across queries.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
 import numpy as np
@@ -51,6 +55,57 @@ from indexer_ray.stages.codec import decode_blocks
 from indexer_ray.state.manifest import IndexManifest, part_dir
 
 
+#: the columns of ``blocks.parquet`` the searcher reads
+_BLOCKS_SCHEMA = pa.schema(
+    [("term", pa.string()), ("first_doc_id", pa.uint64()), ("last_doc_id", pa.uint64()),
+     ("n", pa.uint32()), ("max_tf", pa.uint32()), ("min_dl", pa.uint32()),
+     ("payload", pa.large_binary())]
+)
+
+
+class _PartBlocks:
+    """One partition's ``blocks.parquet``, read once.
+
+    The rows are sorted by (term, block_id) (build.encode_partition), so a
+    term's blocks are one slice of rows found by binary search, and its df
+    in the partition is the sum of their ``n``.  ``terms`` is searched with
+    `bisect`: Python's str order is the UTF-8 byte order the build sorted
+    by, a fixed-width array would widen every row to the longest token, and
+    a lookup costs a fifth of `np.searchsorted` on an object array (a warm
+    query pays one per term absent from the index).  ``nbytes`` is the
+    charge against the searcher's cache budget.  A partition with no file
+    (empty at build time) has no rows."""
+
+    __slots__ = ("terms", "first", "last", "n", "max_tf", "min_dl", "payload", "nbytes")
+
+    def __init__(self, path: str):
+        if os.path.exists(path):
+            t = pq.read_table(path, columns=_BLOCKS_SCHEMA.names)
+        else:
+            t = _BLOCKS_SCHEMA.empty_table()
+        self.terms = t.column("term").to_numpy(zero_copy_only=False).tolist()
+        self.first, self.last = (
+            t.column(c).to_numpy(zero_copy_only=False).astype(np.uint64)
+            for c in ("first_doc_id", "last_doc_id")
+        )
+        self.n, self.max_tf, self.min_dl = (
+            t.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+            for c in ("n", "max_tf", "min_dl")
+        )
+        self.payload = t.column("payload").combine_chunks()
+        self.nbytes = (
+            self.payload.nbytes
+            + 48 * len(self.terms)  # a term pointer + five numeric columns
+            + sum(map(sys.getsizeof, dict.fromkeys(self.terms)))
+        )
+
+    def rows(self, term: str) -> slice:
+        return slice(bisect_left(self.terms, term), bisect_right(self.terms, term))
+
+    def df(self, term: str) -> int:
+        return int(self.n[self.rows(term)].sum())
+
+
 class _TermBlocks:
     """All block metadata + payloads for one term, in global doc_id order.
 
@@ -59,12 +114,13 @@ class _TermBlocks:
     ``contrib`` caches the decoded postings' score contributions, and
     ``contrib_max`` their largest, for the (scorer, weight, avgdl) in
     ``contrib_key``; a query with another key recomputes both in place.
-    The 32 bytes per posting `_tb_size` charges to the searcher's block-LRU
-    budget cover the three decoded arrays and ``contrib``."""
+    ``nbytes``, the charge against the searcher's cache budget, counts the
+    payloads, 40 bytes per block of metadata and 32 bytes per posting for
+    the three decoded arrays and ``contrib``."""
 
     __slots__ = (
         "term", "df", "first", "last", "n", "max_tf", "min_dl", "payloads",
-        "decoded", "contrib", "contrib_max", "contrib_key",
+        "decoded", "contrib", "contrib_max", "contrib_key", "nbytes",
     )
 
     def __init__(self, term, df, first, last, n, max_tf, min_dl, payloads):
@@ -72,6 +128,7 @@ class _TermBlocks:
         self.first, self.last, self.n = first, last, n
         self.max_tf, self.min_dl, self.payloads = max_tf, min_dl, payloads
         self.decoded = self.contrib = self.contrib_max = self.contrib_key = None
+        self.nbytes = sum(len(p) for p in payloads) + 40 * len(n) + 32 * int(n.sum())
 
     def decode_all(self):
         if self.decoded is None:
@@ -134,13 +191,7 @@ def _top_k(docs: np.ndarray, scores: np.ndarray, k: int | None) -> list[tuple[in
 
 
 class IndexSearcher:
-    def __init__(
-        self,
-        index_dir: str,
-        dict_cache_parts: int = 64,
-        blocks_cache_bytes: int = 256 << 20,
-        dict_full_load_rows: int = 1 << 17,
-    ):
+    def __init__(self, index_dir: str, blocks_cache_bytes: int = 256 << 20):
         self.index_dir = index_dir
         self.m = IndexManifest.load(index_dir)
         self.n_docs = self.m.n_docs
@@ -168,129 +219,74 @@ class IndexSearcher:
             )
         self.hot_terms = self.m.hot_terms
         self.P = self.m.n_partitions
-        self._dict_cache: OrderedDict[int, dict[str, int]] = OrderedDict()
-        self._dict_cache_parts = dict_cache_parts
-        # searcher memory stays bounded at web scale: a partition dict is
-        # loaded whole only while it is SMALL (<= dict_full_load_rows terms,
-        # a few MB); above that, df lookups become predicate-pushdown point
-        # reads (dict.parquet is term-sorted with 16k row groups, so footer
-        # stats prune to ~1 row group) memoized in a per-(part, term) LRU —
-        # the same discipline _read_term_blocks already applies to postings
-        self._dict_full_load_rows = dict_full_load_rows
-        self._dict_nrows: dict[int, int] = {}
-        self._df_point_cache: OrderedDict[tuple[int, str], int] = OrderedDict()
-        self._df_point_cache_cap = 1 << 16
-        # posting-block LRU (byte-budgeted): hot Zipf-head terms are touched
-        # by most queries; re-reading their ~MB payloads from parquet per
-        # query would dominate latency (the reference re-reads EVERYTHING
-        # per query, tree.rs:397-443 — the quirk we explicitly fix)
-        self._blocks_cache: OrderedDict[str, _TermBlocks] = OrderedDict()
-        self._blocks_cache_budget = blocks_cache_bytes
-        self._blocks_cache_bytes = 0
+        # one LRU under one byte budget: partition block tables under
+        # ("part", p) and per-term postings under ("term", t), each charged
+        # its `nbytes` (the reference re-reads every segment per query,
+        # tree.rs:397-443).  An entry larger than the budget serves the
+        # call that loaded it and is not kept, evicting nothing.
+        self._cache: OrderedDict[tuple[str, object], _PartBlocks | _TermBlocks] = OrderedDict()
+        self._cache_budget = blocks_cache_bytes
+        self._cache_bytes = 0
 
     # ---- lookup ----
+
+    def _cached(self, key: tuple[str, object], load):
+        entry = self._cache.get(key)
+        if entry is not None:
+            self._cache.move_to_end(key)
+            return entry
+        entry = load()
+        if entry is not None and entry.nbytes <= self._cache_budget:
+            self._cache[key] = entry
+            self._cache_bytes += entry.nbytes
+            while self._cache_bytes > self._cache_budget:
+                _, old = self._cache.popitem(last=False)
+                self._cache_bytes -= old.nbytes
+        return entry
+
+    def _part(self, part_id: int) -> _PartBlocks:
+        return self._cached(
+            ("part", part_id),
+            lambda: _PartBlocks(os.path.join(part_dir(self.index_dir, part_id), "blocks.parquet")),
+        )
 
     def _parts_of_term(self, term: str) -> list[int]:
         s = self.hot_terms.get(term)
         if s:
             # distinct partitions only: two salts may hash to the same
-            # partition, whose dict/blocks already merge both (doc-disjoint)
+            # partition, whose blocks already merge both (doc-disjoint)
             # runs — visiting it twice would double-count.
             return list(dict.fromkeys(hot_term_partitions(term, int(s), self.P)))
         return [term_partition(term, self.P)]
 
-    def _part_df(self, part_id: int, term: str) -> int:
-        cached = self._dict_cache.get(part_id)
-        if cached is not None:
-            self._dict_cache.move_to_end(part_id)
-            return cached.get(term, 0)
-        path = os.path.join(part_dir(self.index_dir, part_id), "dict.parquet")
-        nrows = self._dict_nrows.get(part_id)
-        if nrows is None:
-            nrows = (
-                pq.ParquetFile(path).metadata.num_rows if os.path.exists(path) else 0
-            )
-            self._dict_nrows[part_id] = nrows
-        if nrows <= self._dict_full_load_rows:
-            # small partition dict: load whole, serve every term from memory
-            if nrows == 0:
-                cached = {}
-            else:
-                t = pq.read_table(path, columns=["term", "df"])
-                cached = dict(
-                    zip(t.column("term").to_pylist(), t.column("df").to_pylist())
-                )
-            self._dict_cache[part_id] = cached
-            if len(self._dict_cache) > self._dict_cache_parts:
-                self._dict_cache.popitem(last=False)
-            return cached.get(term, 0)
-        # web-scale partition dict (millions of terms): point read with
-        # predicate pushdown, memoized per (partition, term)
-        key = (part_id, term)
-        hit = self._df_point_cache.get(key)
-        if hit is not None:
-            self._df_point_cache.move_to_end(key)
-            return hit
-        t = pq.read_table(path, columns=["df"], filters=[("term", "=", term)])
-        df = int(t.column("df")[0].as_py()) if t.num_rows else 0
-        self._df_point_cache[key] = df
-        if len(self._df_point_cache) > self._df_point_cache_cap:
-            self._df_point_cache.popitem(last=False)
-        return df
-
     def term_df(self, term: str) -> int:
         # global df = sum of per-partition dfs (runs are doc-disjoint; the
         # reference's analogous sum over segments is tree.rs:413)
-        return sum(self._part_df(p, term) for p in self._parts_of_term(term))
+        return sum(self._part(p).df(term) for p in self._parts_of_term(term))
 
     def _load_term_blocks(self, term: str) -> _TermBlocks | None:
-        cached = self._blocks_cache.get(term)
-        if cached is not None:
-            self._blocks_cache.move_to_end(term)
-            return cached
-        tb = self._read_term_blocks(term)
-        if tb is not None:
-            self._blocks_cache[term] = tb
-            self._blocks_cache_bytes += self._tb_size(tb)
-            while self._blocks_cache_bytes > self._blocks_cache_budget and self._blocks_cache:
-                _, old = self._blocks_cache.popitem(last=False)
-                self._blocks_cache_bytes -= self._tb_size(old)
-        return tb
-
-    @staticmethod
-    def _tb_size(tb: _TermBlocks) -> int:
-        # payloads + block metadata + the lazily-decoded arrays (3 x uint64)
-        # + the cached contributions (float64)
-        return sum(len(p) for p in tb.payloads) + 40 * len(tb.n) + 32 * int(tb.n.sum())
+        return self._cached(("term", term), lambda: self._read_term_blocks(term))
 
     def _read_term_blocks(self, term: str) -> _TermBlocks | None:
-        firsts, lasts, ns, mtfs, mdls, pays = [], [], [], [], [], []
-        df = 0
+        runs = []
         for p in self._parts_of_term(term):
-            df_p = self._part_df(p, term)
-            if df_p == 0:
-                continue
-            df += df_p
-            path = os.path.join(part_dir(self.index_dir, p), "blocks.parquet")
-            t = pq.read_table(path, filters=[("term", "=", term)])
-            firsts.append(t.column("first_doc_id").to_numpy(zero_copy_only=False))
-            lasts.append(t.column("last_doc_id").to_numpy(zero_copy_only=False))
-            ns.append(t.column("n").to_numpy(zero_copy_only=False))
-            mtfs.append(t.column("max_tf").to_numpy(zero_copy_only=False))
-            mdls.append(t.column("min_dl").to_numpy(zero_copy_only=False))
-            pays.extend(t.column("payload").to_pylist())
-        if df == 0:
+            pb = self._part(p)
+            rows = pb.rows(term)
+            if rows.stop > rows.start:
+                runs.append((pb, rows))
+        if not runs:
             return None
-        first = np.concatenate(firsts).astype(np.uint64)
-        last = np.concatenate(lasts).astype(np.uint64)
-        n = np.concatenate(ns).astype(np.int64)
-        max_tf = np.concatenate(mtfs).astype(np.int64)
-        min_dl = np.concatenate(mdls).astype(np.int64)
+        first, last, n, max_tf, min_dl = (
+            np.concatenate([getattr(pb, c)[rows] for pb, rows in runs])
+            for c in ("first", "last", "n", "max_tf", "min_dl")
+        )
+        # copies of the payload bytes: evicting the partitions frees theirs
+        pays = [b for pb, rows in runs for b in pb.payload[rows].to_pylist()]
         # salted runs are doc_id-range-disjoint: order blocks globally
         order = np.argsort(first, kind="stable")
         return _TermBlocks(
             term,
-            df,
+            int(n.sum()),
             first[order],
             last[order],
             n[order],
@@ -557,7 +553,7 @@ class IndexSearcher:
         tb = self._load_term_blocks(term)
         if tb is None:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        doc_ids, tfs, _, _ = decode_blocks(tb.payloads, tb.n, tb.first)
+        doc_ids, tfs, _ = tb.decode_all()
         order = np.argsort(doc_ids, kind="stable")
         return doc_ids[order], tfs[order]
 
@@ -1524,8 +1520,8 @@ def more_like_this(
     classic MoreLikeThis design (Lucene's published recipe): extract the
     seed's top-`m` TF-IDF terms, run them as a query, drop the seed from
     the results.  Keyword score = tf·|ln(N/df)| quantized (the repo's
-    doc_keywords formula); df comes from the INDEX's pruned point reads,
-    never a corpus scan — only the seed's own text is tokenized.
+    doc_keywords formula); df comes from the searcher's `term_df` (a
+    binary search over cached partition block tables), never a corpus scan — only the seed's own text is tokenized.
 
     Plain-mode indexes only (like phrase_search/related_terms: plain
     [a-z0-9]+ terms re-tokenize to themselves, so the keyword query round-
@@ -1613,15 +1609,16 @@ def search_rocchio(
       1. base search, keep the top `n_fb` feedback docs (quantized
          score desc, doc_id asc — the repo's rank contract);
       2. expansion weight w(t) = (Σ_{d∈F} tf(t, d)) · |ln(N / df(t))|
-         over the feedback docs' plain tokens, df from index point
-         reads; the top `m_exp` terms NOT already in the query
+         over the feedback docs' plain tokens, df from the searcher's
+         `term_df`; the top `m_exp` terms NOT already in the query
          (floor(w·1e6 + 0.5) desc, term asc) join the query;
       3. re-search with the expanded term set (all distinct, so the
          duplicate-token m² semantics stay inert).
 
     Feedback texts are fetched by a predicate-pushdown parquet read of
     the `n_fb` ids — constant rows, never a corpus scan; expansion df
-    lookups are the searcher's bounded point reads.  Returns
+    lookups are `term_df` binary searches over the searcher's cached
+    partition block tables.  Returns
     (rank, doc_id, score_q, exp_terms) — `exp_terms` is the space-joined
     expansion in weight order (constant per row, so the oracle
     hash-checks the chosen expansion too)."""

@@ -77,6 +77,52 @@ def test_tampered_payload_fails_deep(built_index):
     assert any("decode failed" in e or "postings" in e for e in r["errors"])
 
 
+def _first_part(idx, f):
+    """(path, table) of the first partition whose ``f`` has >= 2 rows."""
+    for pdir in sorted(glob.glob(os.path.join(idx, "parts", "*"))):
+        path = os.path.join(pdir, f)
+        t = pq.read_table(path)
+        if t.num_rows >= 2:
+            return path, t
+    raise AssertionError(f"no partition with two {f} rows")
+
+
+def test_swapped_dict_df_fails_deep(built_index):
+    """Two terms with different df swap their dict values: sum(df) still
+    equals n_postings, but each term's df no longer equals the sum of its
+    blocks' n, which is the df the searcher serves."""
+    import numpy as np
+    import pyarrow as pa
+
+    idx, root = built_index
+    bad = _copy(idx, root, "bad_df_swap")
+    path, d = _first_part(bad, "dict.parquet")
+    df = d.column("df").to_numpy().copy()
+    i = 0
+    j = int(np.flatnonzero(df != df[i])[0])
+    df[[i, j]] = df[[j, i]]
+    d = d.set_column(d.schema.get_field_index("df"), "df", pa.array(df, type=pa.uint64()))
+    pq.write_table(d, path)
+    assert verify_index(bad)["ok"]  # shallow can't see it
+    r = verify_index(bad, deep=True)
+    assert not r["ok"]
+    assert any("sum of their blocks' n" in e for e in r["errors"]), r["errors"]
+
+
+def test_unsorted_blocks_fail_deep(built_index):
+    """blocks.parquet rows out of (term, block_id) order decode and count
+    fine, but the searcher's binary search over them would miss terms."""
+    idx, root = built_index
+    bad = _copy(idx, root, "bad_block_order")
+    path, b = _first_part(bad, "blocks.parquet")
+    pq.write_table(b.take(list(range(b.num_rows))[::-1]), path)
+    assert verify_index(bad)["ok"]
+    r = verify_index(bad, deep=True)
+    assert not r["ok"]
+    assert r["errors"] == [f"partition {os.path.basename(os.path.dirname(path))}: "
+                           "blocks.parquet rows not sorted by (term, block_id)"]
+
+
 def test_duplicate_docmap_rows_fail_deep(built_index):
     idx, root = built_index
     bad = _copy(idx, root, "bad_docmap")

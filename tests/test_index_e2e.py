@@ -1,6 +1,9 @@
 """End-to-end rank-identity: distributed build + both query engines vs the
 brute-force conformance spec on the reference query set (SURVEY.md §5.3)."""
 
+import glob
+import os
+
 import pyarrow.parquet as pq
 import pytest
 
@@ -155,11 +158,13 @@ def test_wand_branches_equal_exhaustive(built, query, k, scorer, skipped):
 
 
 def test_cached_contributions_follow_scoring_inputs(built):
-    """One searcher with a small block budget, calls alternating scorer,
+    """One searcher with a small cache budget, calls alternating scorer,
     algorithm, global_stats (avgdl alone, n_docs and df alone, all three),
     duplicate query tokens and k beyond the match count: every call
     equals a fresh searcher's, and the LRU's byte count stays the sum of
-    its entries' charges, within budget."""
+    its entries' charges — partition block tables included — within
+    budget.  One budget holds two partitions and evicts; a second is
+    below every partition's charge, so no partition is ever kept."""
     index_dir, manifest, _ = built
     vocab = make_vocab()
     hot, mid = vocab[0], vocab[100]
@@ -173,24 +178,26 @@ def test_cached_contributions_follow_scoring_inputs(built):
         {"n_docs": 1000, "avgdl": 2 * manifest.avgdl, "df": {t_hot: 600}},
         {"n_docs": 300, "avgdl": 9.5, "df": {t_mid: 7}},
     ]
-    budget = 16 << 10
-    s = IndexSearcher(index_dir, blocks_cache_bytes=budget)
-    loaded = set()
-    for _ in range(2):
-        for q in queries:
-            loaded.update(tokenize(q))
-            for scorer in ("bm25", "tfidf"):
-                for gs in stats:
-                    for algorithm in ("exhaustive", "wand"):
-                        for k in (3, 1000):
-                            kw = dict(k=k, scorer=scorer, algorithm=algorithm, global_stats=gs)
-                            got = s.search(q, **kw)
-                            assert got == IndexSearcher(index_dir).search(q, **kw), (q, kw)
-                            assert s._blocks_cache_bytes == sum(
-                                s._tb_size(tb) for tb in s._blocks_cache.values()
-                            )
-                            assert s._blocks_cache_bytes <= budget
-    assert len(s._blocks_cache) < len(loaded), "the budget never evicted a term"
+    part_charges = [IndexSearcher(index_dir)._part(int(p)).nbytes for p in manifest.partitions]
+    small = 16 << 10
+    assert small < min(part_charges)
+    for budget in (2 * max(part_charges), small):
+        s = IndexSearcher(index_dir, blocks_cache_bytes=budget)
+        seen = set()
+        for _ in range(2):
+            for q in queries:
+                for scorer in ("bm25", "tfidf"):
+                    for gs in stats:
+                        for algorithm in ("exhaustive", "wand"):
+                            for k in (3, 1000):
+                                kw = dict(k=k, scorer=scorer, algorithm=algorithm, global_stats=gs)
+                                got = s.search(q, **kw)
+                                assert got == IndexSearcher(index_dir).search(q, **kw), (q, kw)
+                                assert s._cache_bytes == sum(e.nbytes for e in s._cache.values())
+                                assert s._cache_bytes <= budget
+                                seen.update(s._cache)
+        assert set(s._cache) < seen, "the budget never evicted an entry"
+        assert any(kind == "part" for kind, _ in seen) == (budget != small), budget
 
 
 def test_url_resolution(built):
@@ -228,25 +235,81 @@ def test_rank_identity_at_2k_docs(ray_session, small_pages, tmp_path_factory):
                 assert gs == pytest.approx(es, rel=1e-12)
 
 
-def test_df_point_reads_match_full_dict_load(built):
-    """VERDICT r2 #6: with full-dict loading disabled (the web-scale
-    configuration, where a partition dict has millions of terms), df
-    lookups become predicate-pushdown point reads and every search result
-    must be identical to the in-memory-dict searcher."""
+def test_term_df_equals_dict_df_of_every_term(built):
+    """The searcher's df — the sum of a term's block counts, found by
+    binary search over each partition's blocks.parquet — equals the sum
+    of dict.parquet df over the term's partitions, for every term of the
+    index, salted hot terms included; a missing term has df 0."""
+    from collections import Counter
+
+    index_dir, manifest, _ = built
+    want = Counter()
+    for f in glob.glob(os.path.join(index_dir, "parts", "*", "dict.parquet")):
+        d = pq.read_table(f, columns=["term", "df"])
+        for t, df in zip(d.column("term").to_pylist(), d.column("df").to_pylist()):
+            want[t] += df
+    assert set(manifest.hot_terms) <= set(want)
+    s = IndexSearcher(index_dir)
+    assert {t: s.term_df(t) for t in want} == want
+    assert s.term_df("never-a-term-zzz") == 0
+
+
+def test_term_postings_reuse_the_cached_decode(built):
+    """term_postings returns each doc's tf in doc_id order, as counted in
+    the spec corpus, and serves it from the term's cached decode."""
     index_dir, manifest, corpus = built
-    full = IndexSearcher(index_dir)
-    point = IndexSearcher(index_dir, dict_full_load_rows=0)
-    terms = sorted({t for _, toks in corpus for t in toks})[:40]
-    for t in terms:
-        assert point.term_df(t) == full.term_df(t), t
-    assert point.term_df("never-a-term-zzz") == 0
-    for q in ["running fast", "needle17", "the index"]:
-        for scorer in ("tfidf", "bm25"):
-            assert point.search(q, k=10, scorer=scorer) == full.search(
-                q, k=10, scorer=scorer
-            )
-    # full dicts were never pulled into memory on the point searcher
-    assert not point._dict_cache and point._df_point_cache
+    s = IndexSearcher(index_dir)
+    for t in [tokenize(make_vocab()[0])[0], "needle17", next(iter(manifest.hot_terms))]:
+        want = sorted((d, toks.count(t)) for d, toks in corpus if t in toks)
+        ids, tfs = s.term_postings(t)
+        assert list(zip(ids.tolist(), tfs.tolist())) == want, t
+        assert s._load_term_blocks(t).decoded is not None
+    ids, tfs = s.term_postings("never-a-term-zzz")
+    assert len(ids) == len(tfs) == 0
+
+
+def test_non_ascii_terms_match_brute_force(ray_session, tmp_path):
+    """Arrow sorts blocks.parquet by UTF-8 bytes and the searcher binary-
+    searches with Python str comparison; the two orders agree, so df and
+    top-k over non-ASCII terms equal the brute-force scorers."""
+    import pyarrow as pa
+    from collections import Counter
+
+    texts = [
+        "café straße 東京 zürich",
+        "zürich zürich café",
+        "東京 東京 東京 straße",
+        "cafe strasse zurich tokyo",
+        "zebra café zürich 東京",
+    ]
+    pages = str(tmp_path / "pages.parquet")
+    pq.write_table(
+        pa.table(
+            {
+                "url": [f"https://example.org/{i}" for i in range(len(texts))],
+                "warc_ts": pa.array([0] * len(texts), type=pa.timestamp("us")),
+                "text": texts,
+            }
+        ),
+        pages,
+    )
+    index_dir = str(tmp_path / "idx")
+    build_index([pages], index_dir, BuildConfig(n_partitions=2, tokenize_actors=1))
+    corpus = [(i, tokenize(x)) for i, x in enumerate(texts)]
+    df = Counter(t for _, toks in corpus for t in set(toks))
+    s = IndexSearcher(index_dir)
+    assert any(not t.isascii() for t in df)
+    for t, n in df.items():
+        assert s.term_df(t) == n, t
+    for q in ["café", "straße zürich", "東京 café", "zürich cafe", "東京 zebra straße"]:
+        toks = tokenize(q)
+        for scorer, brute in (("tfidf", brute_force_tfidf_topk), ("bm25", brute_force_bm25_topk)):
+            for algorithm in ("exhaustive", "wand"):
+                got = s.search(q, k=3, scorer=scorer, algorithm=algorithm)
+                want = brute(corpus, toks, k=3)
+                assert [d for d, _ in got] == [d for d, _ in want], (q, scorer, algorithm)
+                for (_, gs), (_, ws) in zip(got, want):
+                    assert gs == pytest.approx(ws, rel=1e-12), (q, scorer, algorithm)
 
 
 def test_boolean_search_vs_brute(built):

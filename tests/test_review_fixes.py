@@ -348,12 +348,16 @@ def test_raypatch_empty_blocks_adversarial_shapes(ray_session):
     preserve_order, a join whose BOTH sides flow through aggregates with
     many empty ranges, and a union with an all-empty-filtered stream
     (stock Ray loses the schema of an all-empty SORTED stream with or
-    without the patch — not asserted here)."""
+    without the patch — not asserted here).  The patch's fire counters
+    show the replacement ran, without a hook exception."""
     import ray.data as rd
     from ray.data.aggregate import Count
     from ray.data.context import DataContext
 
     import indexer_ray  # noqa: F401 — applies _raypatch
+    from indexer_ray._raypatch import FIRES
+
+    before = dict(FIRES)
 
     ctx = DataContext.get_current()
     prev = ctx.execution_options.preserve_order
@@ -402,6 +406,8 @@ def test_raypatch_empty_blocks_adversarial_shapes(ray_session):
         assert sorted(r["k"] for r in empty.union(real).take_all()) == [0, 1, 2, 3, 4]
     finally:
         ctx.execution_options.preserve_order = prev
+    assert FIRES["replaced"] > before["replaced"]
+    assert FIRES["errors"] == before["errors"]
 
 
 def test_raypatch_skipped_on_untested_ray_version():
