@@ -1486,9 +1486,9 @@ def _q_decontamination_overlap(sf_dir: str):
 
 
 def _q_minhash_pairs(sf_dir: str):
-    from indexer_ray.pipelines.dedup import minhash_lsh_pairs
+    from indexer_ray.pipelines.dedup import minhash_pairs_ds, pairs_frame
 
-    return minhash_lsh_pairs(_docs(sf_dir), jaccard_threshold=0.5)
+    return pairs_frame(minhash_pairs_ds(_docs(sf_dir), jaccard_threshold=0.5), "jaccard")
 
 
 def _q_ngram_jaccard(sf_dir: str):
@@ -1498,26 +1498,26 @@ def _q_ngram_jaccard(sf_dir: str):
 
 
 def _q_winnow_pairs(sf_dir: str):
-    from indexer_ray.pipelines.dedup import winnow_dup_pairs
+    from indexer_ray.pipelines.dedup import pairs_frame, winnow_pairs_ds
 
-    return winnow_dup_pairs(_docs(sf_dir), k=5, w=4, min_shared=2)
+    return pairs_frame(winnow_pairs_ds(_docs(sf_dir), k=5, w=4, min_shared=2), "n_shared")
 
 
 def _q_simhash_pairs(sf_dir: str):
-    from indexer_ray.pipelines.dedup import simhash_pairs
+    from indexer_ray.pipelines.dedup import pairs_frame, simhash_pairs_ds
 
-    return simhash_pairs(_docs(sf_dir), max_hamming=3)
+    return pairs_frame(simhash_pairs_ds(_docs(sf_dir), max_hamming=3), "hamming")
 
 
 def _q_embedding_dup_pairs(sf_dir: str):
-    from indexer_ray.pipelines.dedup import embedding_dup_pairs
+    from indexer_ray.pipelines.dedup import embedding_pairs_brute
 
     # the synthetic embeddings are near-orthogonal (max pairwise cosine
     # ~0.51 at sf0.01): a production 0.9 threshold returns the (correct)
     # empty set and the LSH scale path can't recall a lone borderline pair,
     # so the driver query runs the exact brute baseline at 0.5; LSH recall
     # is covered by tests with injected duplicates
-    return embedding_dup_pairs(_emb(sf_dir), cosine_threshold=0.5, brute=True)
+    return embedding_pairs_brute(_emb(sf_dir), cosine_threshold=0.5)
 
 
 def _ann_queries(sf_dir: str) -> np.ndarray:

@@ -90,8 +90,8 @@ def bench_queries(sf_dir: str) -> tuple[dict[str, float], dict[str, int]]:
     # actor processes (and module imports) exist before the timed runs
     _tiny_docs = read_parquet_clean(docs_path).limit(128).materialize()
     text_analysis.term_stats(_tiny_docs, mode="plain").materialize()
-    dedup.minhash_lsh_pairs(_tiny_docs)
-    dedup.simhash_pairs(_tiny_docs)
+    dedup.pairs_frame(dedup.minhash_pairs_ds(_tiny_docs), "jaccard")
+    dedup.pairs_frame(dedup.simhash_pairs_ds(_tiny_docs), "hamming")
     _tiny_ev = read_parquet_clean(os.path.join(sf_dir, "events.parquet")).limit(256).materialize()
     events.tumbling_window_stats(_tiny_ev).materialize()
     import numpy as _np
@@ -152,8 +152,14 @@ def bench_queries(sf_dir: str) -> tuple[dict[str, float], dict[str, int]]:
 
     docs = read_parquet_clean(docs_path)
     timed("term_stats", lambda: text_analysis.term_stats(docs, mode="plain").materialize())
-    timed("minhash_dedup", lambda: dedup.minhash_lsh_pairs(read_parquet_clean(docs_path)))
-    timed("simhash_dedup", lambda: dedup.simhash_pairs(read_parquet_clean(docs_path)))
+    timed(
+        "minhash_dedup",
+        lambda: dedup.pairs_frame(dedup.minhash_pairs_ds(read_parquet_clean(docs_path)), "jaccard"),
+    )
+    timed(
+        "simhash_dedup",
+        lambda: dedup.pairs_frame(dedup.simhash_pairs_ds(read_parquet_clean(docs_path)), "hamming"),
+    )
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
     emb = read_parquet_clean(emb_path)

@@ -3,36 +3,44 @@
 Large-scale training-data operators, Ray-Data-first (the reference engine has
 only exact path-keyed identity, SURVEY.md §2.7/A4):
 
-  * exact_duplicates    — content-hash partition + per-group first-wins
-  * minhash_lsh_pairs   — shingle -> minhash -> banded LSH buckets ->
-                          candidate pairs -> exact Jaccard verification
-  * simhash_pairs       — 64-bit simhash, 4x16-bit band blocking, Hamming
-                          verification
-  * embedding_dup_pairs — multi-table random-hyperplane LSH over an
-                          embedding column, cosine verification (brute
-                          mode for small inputs)
-  * winnow_dup_pairs    — winnowing fingerprints (Schleimer et al. 2003):
-                          substring-overlap detection — any shared token
-                          run >= w+k-1 yields a shared fingerprint
+  * exact_duplicates        — content-hash partition + per-group first-wins
+  * minhash_pairs_ds        — shingle -> minhash -> banded LSH buckets ->
+                              candidate pairs -> exact Jaccard verification
+  * simhash_pairs_ds        — 64-bit simhash, 4x16-bit band blocking,
+                              Hamming verification
+  * embedding_pairs_ds      — multi-table random-hyperplane LSH over an
+                              embedding column, cosine verification
+                              (`embedding_pairs_brute` is the exact
+                              all-pairs reference)
+  * winnow_pairs_ds         — winnowing fingerprints (Schleimer et al.
+                              2003): substring-overlap detection — any
+                              shared token run >= w+k-1 yields a shared
+                              fingerprint
+  * cross_corpus_overlap_ds — the same fingerprints, pairs across a corpus
+                              and a probe set only (decontamination)
 
 Shuffle discipline: every operator pre-reduces inside `map_batches` (one
-signature/hash row per doc) before its single groupby; candidate pair sets
-are verified AFTER blocking, so the quadratic step only ever runs inside a
-bucket.  Buckets larger than `max_bucket` contribute no pairs and are
-reported in a `truncated` counter row instead of silently exploding
+signature/hash row per doc) before its single routed shuffle; candidate
+pairs are verified AFTER blocking, so the quadratic step only ever runs
+inside a bucket.  Buckets larger than `max_bucket` contribute no pairs and
+are reported in a `truncated` counter row instead of silently exploding
 (no-silent-caps rule).
 
-Two API layers per family:
-  * `*_pairs_ds` (minhash_pairs_ds / simhash_pairs_ds / winnow_pairs_ds /
-    embedding_pairs_ds) — Dataset-returning: pair dedup and truncation
-    counters are distributed groupbys, verification routes candidate-doc
-    state via a broadcast dict only below BROADCAST_PAIRS_THRESHOLD pairs
-    and via a distributed hash JOIN above it, and the pair set NEVER
-    materializes on the driver.  At 100 TB (~10^9-10^10 near-dup pairs)
-    this is the only usable layer: `minhash_pairs_ds(ds).write_parquet(p)`.
-  * the historical pandas wrappers (minhash_lsh_pairs / simhash_pairs /
-    winnow_dup_pairs / embedding_dup_pairs) — `.to_pandas()` convenience
-    over the same distributed pipeline for driver-sized outputs.
+One pair pipeline serves the five `*_pairs_ds` families:
+  * `_bucket_pairs` walks the LSH buckets of one reduce partition; each
+    family passes only its per-bucket pair emitter;
+  * `_dedup_pairs_regime` merges pairs found in several buckets or
+    partitions by one `_PairSpec` (key columns, one value column with a
+    min / max / sum reducer): a driver pandas pass up to
+    `broadcast_pairs_threshold` rows, a distributed groupby above it;
+  * `_jaccard_ds` is minhash's and `ngram_jaccard_pairs`' one exact-Jaccard
+    verify: the needed-doc set goes through the same dedup regime and the
+    corpus meets it in `regime_join` (broadcast up to the threshold, hash
+    join above), so above the threshold no pair touches the driver.
+Every family returns a Dataset with its four documented columns, empty
+input included: at 100 TB (~10^9-10^10 near-dup pairs) write it out,
+`minhash_pairs_ds(ds).write_parquet(p)`; `pairs_frame` collects a
+driver-sized one as a sorted pandas frame.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -49,6 +58,7 @@ from indexer_ray.conformance.lexer import tokenize_plain
 from indexer_ray.stages.shuffle import (
     driver_table,
     join_parts,
+    regime_join,
     route_parts,
     routed_reduce,
 )
@@ -252,60 +262,171 @@ def _adaptive_pair_parts(ds, n_parts: int | None) -> int:
     explicitly for already-transformed inputs to avoid an extra execution."""
     if n_parts is not None:
         return n_parts
-    try:
-        n = ds.count()
-    except Exception:
-        return _PAIR_PARTITIONS
-    return int(np.clip(n // 256, 8, _PAIR_PARTITIONS))
+    return int(np.clip(ds.count() // 256, 8, _PAIR_PARTITIONS))
 
 
-def _bucket_pairs_in_part(g: pd.DataFrame, max_bucket: int) -> pd.DataFrame:
-    """All candidate pairs from every bucket in one partition, vectorized:
-    sort by (band, band_hash, doc_id), find bucket boundaries with diff, and
-    emit triangular pairs only for the (rare) buckets of size >= 2."""
-    g = g.sort_values(["band", "band_hash", "doc_id"]).drop_duplicates(
-        ["band", "band_hash", "doc_id"]
-    )
-    band = g["band"].to_numpy()
-    bh = g["band_hash"].to_numpy()
-    ids = g["doc_id"].to_numpy()
-    n = len(ids)
-    if n == 0:
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "truncated": pd.Series([], dtype="int64"),
-            }
+#: Up to this many rows, a pair dedup runs as one driver-side pandas pass
+#: and the Jaccard verify broadcasts its needed-doc set; above it both are
+#: distributed (groupby, hash join) and the driver holds no pair row.
+BROADCAST_PAIRS_THRESHOLD = 100_000
+
+
+class _PairSpec(NamedTuple):
+    """How pair rows sharing a key merge into one, for the Ray aggregate,
+    the pandas pass and the empty table alike: the first two columns of
+    `schema` are the key, `value` merges by `reduce` ("min", "max" or
+    "sum"), every other column (the `truncated` counter) sums, and a
+    truncation counter row carries `fill` as its value."""
+
+    schema: pa.Schema
+    value: str
+    reduce: str = "sum"
+    fill: int | float = 0
+
+    @property
+    def keys(self) -> list[str]:
+        return self.schema.names[:2]
+
+    def _how(self) -> dict[str, str]:
+        return {
+            c: self.reduce if c == self.value else "sum"
+            for c in self.schema.names[2:]
+        }
+
+    def aggregates(self) -> list:
+        from ray.data.aggregate import Max, Min, Sum
+
+        fns = {"min": Min, "max": Max, "sum": Sum}
+        return [fns[how](c, alias_name=c) for c, how in self._how().items()]
+
+    def merge(self, df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(self.keys, as_index=False).agg(
+            **{c: (c, how) for c, how in self._how().items()}
         )
-    starts = np.flatnonzero(np.r_[True, (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])])
-    ends = np.r_[starts[1:], n]
-    out_a, out_b, truncated = [], [], []
-    for s, e in zip(starts, ends):
-        size = e - s
-        if size < 2:
-            continue
-        if size > max_bucket:
-            truncated.append(int(size))
-            continue
-        ia, ib = np.triu_indices(size, k=1)
-        out_a.append(ids[s:e][ia])
-        out_b.append(ids[s:e][ib])
-    doc_a = np.concatenate(out_a) if out_a else np.empty(0, dtype=np.int64)
-    doc_b = np.concatenate(out_b) if out_b else np.empty(0, dtype=np.int64)
-    res = pd.DataFrame(
+
+
+def _pair_spec(
+    a: str,
+    b: str,
+    value: str,
+    reduce: str = "sum",
+    dtype: pa.DataType = pa.int64(),
+    fill: int | float = 0,
+) -> _PairSpec:
+    """Spec of a pair family's output (a, b, value, truncated)."""
+    schema = pa.schema(
+        [(a, pa.int64()), (b, pa.int64()), (value, dtype), ("truncated", pa.int64())]
+    )
+    return _PairSpec(schema, value, reduce, fill)
+
+
+#: minhash and winnow: n_shared = buckets (bands, fingerprints) in common
+_SHARED = _pair_spec("doc_a", "doc_b", "n_shared")
+
+
+def _dedup_pairs_regime(raw, spec: _PairSpec, threshold: int):
+    """Cross-partition pair dedup with a size regime: the raw pair rows are
+    materialized (object-store blocks, never the driver heap) and counted
+    (metadata-only).  Above `threshold` rows the dedup is a DISTRIBUTED
+    groupby — pairs never touch the driver; below it, one driver-side
+    pandas pass replaces a whole shuffle stage (a sort-shuffle of a
+    ~250-row pair set measures ~1.6 s of pure fixed task scheduling).
+    Both merge by `spec`.  Returns a materialized/in-memory Dataset either
+    way, so downstream count()/to_pandas()/map_batches never re-execute
+    the upstream chain."""
+    import ray.data as rd
+
+    raw = raw.materialize()
+    if raw.count() > threshold:
+        return raw.groupby(spec.keys).aggregate(*spec.aggregates()).materialize()
+    df = driver_table(raw).to_pandas()
+    if df.empty:
+        return rd.from_arrow(spec.schema.empty_table())
+    return rd.from_arrow(
+        pa.Table.from_pandas(spec.merge(df), preserve_index=False).cast(spec.schema)
+    )
+
+
+def _bucket_pairs(
+    g: pd.DataFrame,
+    bucket: list[str],
+    within: list[str],
+    max_bucket: int,
+    spec: _PairSpec,
+    pairs,
+) -> pd.DataFrame:
+    """The LSH bucket walk of every pair family, over one reduce partition:
+    rows sort by `bucket + within` and repeated rows drop; each run of
+    equal `bucket` values is one bucket and `within[-1]` holds the ids.
+    A bucket of one row pairs nothing, and one of more than `max_bucket`
+    rows is counted instead of paired (no silent caps).  `pairs(g)`
+    returns the family's emitter `emit(s, e) -> (rows_a, rows_b, values)`
+    for the bucket at rows s:e of the sorted `g`.  Returns the pairs
+    merged by `spec` (a, b, value, truncated=0), plus one counter row
+    (-1, -1, spec.fill, rows of the skipped buckets) if any was skipped."""
+    cols = bucket + within
+    g = g.sort_values(cols).drop_duplicates(cols)
+    n = len(g)
+    new = np.logical_or.reduce(
+        [np.r_[True, k[1:] != k[:-1]] for k in (g[c].to_numpy() for c in bucket)]
+    )
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.r_[starts, n])
+    paired = (sizes >= 2) & (sizes <= max_bucket)
+    skipped = sizes[(sizes >= 2) & (sizes > max_bucket)]
+    dtype = spec.schema.field(spec.value).type.to_pandas_dtype()
+    rows_a, rows_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    vals = [np.empty(0, dtype)]
+    emit = pairs(g) if paired.any() else None
+    for s, size in zip(starts[paired], sizes[paired]):
+        ra, rb, v = emit(s, s + size)
+        rows_a.append(ra)
+        rows_b.append(rb)
+        vals.append(v)
+    rows_a, rows_b = np.concatenate(rows_a), np.concatenate(rows_b)
+    ids = g[within[-1]].to_numpy()
+    c = int(len(skipped) > 0)  # the counter row, if any bucket was skipped
+    a, b = spec.keys
+    df = pd.DataFrame(
         {
-            "doc_a": doc_a.astype("int64"),
-            "doc_b": doc_b.astype("int64"),
-            "truncated": np.zeros(len(doc_a), dtype="int64"),
+            a: np.r_[ids[rows_a], [-1] * c].astype(np.int64),
+            b: np.r_[ids[rows_b], [-1] * c].astype(np.int64),
+            spec.value: np.r_[np.concatenate(vals), [spec.fill] * c].astype(dtype),
+            "truncated": np.r_[np.zeros(len(rows_a)), [skipped.sum()] * c].astype(np.int64),
         }
     )
-    if truncated:
-        res = pd.concat(
-            [res, pd.DataFrame({"doc_a": [-1] * len(truncated), "doc_b": [-1] * len(truncated), "truncated": truncated})],
-            ignore_index=True,
+    return spec.merge(df)
+
+
+def _all_pairs(g: pd.DataFrame):
+    """Emitter pairing every two rows of a bucket, each pair counting one
+    shared bucket (minhash bands, winnow fingerprints)."""
+
+    def emit(s: int, e: int):
+        ia, ib = np.triu_indices(e - s, k=1)
+        return s + ia, s + ib, np.ones(len(ia), dtype=np.int64)
+
+    return emit
+
+
+def _at_least_shared(counted, min_shared: int):
+    """Pairs sharing >= `min_shared` fingerprints, and the counter row, of
+    a materialized pair Dataset (winnow, cross-corpus).  An empty one is
+    returned as it is: a map over no rows would drop its schema."""
+    import pyarrow.compute as pc
+
+    if counted.count() == 0:
+        return counted
+
+    def _keep(t: pa.Table) -> pa.Table:
+        return t.filter(
+            pc.or_(
+                pc.greater(t.column("truncated"), 0),
+                pc.greater_equal(t.column("n_shared"), min_shared),
+            )
         )
-    return res
+
+    return counted.map_batches(_keep, batch_format="pyarrow")
 
 
 def _jaccard_for_pairs(
@@ -337,157 +458,55 @@ _EMPTY_JACCARD_TABLE = pa.table(
     }
 )
 
-
-def _pairwise_jaccard_broadcast_ds(
-    ds, pairs: pd.DataFrame, shingle_k: int, n_parts: int = _PAIR_PARTITIONS
-):
-    """Broadcast-routed exact-Jaccard verify, with NO driver-side corpus
-    iteration: the corpus STREAMS through a shingle stage that drops every
-    non-candidate doc (candidate-id routing table broadcast once via
-    ray.put), each surviving doc's shingle set is routed to every
-    pair-partition that references it, and one vectorized verify pass runs
-    per partition.  Driver-side state is only the candidate pair list —
-    callers bound its size (`broadcast_pairs_threshold`); above that bound
-    use `_pairwise_jaccard_join_ds`, which routes via a distributed join.
-
-    Returns a DATASET of (doc_a, doc_b, jaccard) covering every input pair.
-    """
-    import ray
-    import ray.data as rd
-
-    if pairs.empty:
-        return rd.from_arrow(_EMPTY_JACCARD_TABLE)
-    pairs = pairs[["doc_a", "doc_b"]].drop_duplicates().reset_index(drop=True)
-    # partition count tracks the pair count (>=64 pairs per part target):
-    # tiny candidate sets shouldn't pay a 64-way shuffle's scheduling toll
-    n_parts = int(np.clip(len(pairs) // 64, 4, n_parts))
-    part_of_pair = (
-        (pairs["doc_a"].to_numpy(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-        ^ pairs["doc_b"].to_numpy(np.uint64)
-    ) % np.uint64(n_parts)
-    pairs_by_part: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    doc_parts: dict[int, list[int]] = {}
-    for p in np.unique(part_of_pair):
-        sel = part_of_pair == p
-        a = pairs["doc_a"].to_numpy()[sel]
-        b = pairs["doc_b"].to_numpy()[sel]
-        pairs_by_part[int(p)] = (a, b)
-        for d in np.unique(np.concatenate([a, b])):
-            doc_parts.setdefault(int(d), []).append(int(p))
-    doc_parts_ref = ray.put(doc_parts)
-    pairs_ref = ray.put(pairs_by_part)
-
-    def _shingle_stage(batch: pa.Table) -> pa.Table:
-        # stateless TASK (not an actor pool: pool startup costs ~0.5 s the
-        # broadcast regime can't amortize); ray.get of the broadcast dict is
-        # a shared-memory hit after the first task on each worker process
-        doc_parts_local = ray.get(doc_parts_ref)
-        out_part, out_doc, out_sh = [], [], []
-        for doc_id, text in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            parts = doc_parts_local.get(doc_id)
-            if not parts:
-                continue
-            sh = _shingles(tokenize_plain(text or ""), shingle_k)
-            for p in parts:
-                out_part.append(p)
-                out_doc.append(doc_id)
-                out_sh.append(sh)
-        return pa.table(
-            {
-                "part": pa.array(out_part, type=pa.int32()),
-                "doc_id": pa.array(out_doc, type=pa.int64()),
-                "shingles": pa.array(
-                    [s.tolist() for s in out_sh], type=pa.list_(pa.uint64())
-                ),
-            }
-        )
-
-    def verify_part(g: pd.DataFrame) -> pd.DataFrame:
-        part = int(g["part"].iloc[0])
-        a_ids, b_ids = ray.get(pairs_ref)[part]
-        sh = {
-            int(d): np.asarray(s, dtype=np.uint64)
-            for d, s in zip(g["doc_id"], g["shingles"])
-        }
-        return _jaccard_for_pairs(sh, a_ids, b_ids)
-
-    import ray.data as rd
-
-    # seed one sentinel row per pair partition: a partition whose candidate
-    # docs are ALL absent from the corpus would otherwise never form a
-    # group and its pairs would vanish instead of scoring jaccard=0 (the
-    # join path emits them; the two regimes must be output-equivalent)
-    seed = rd.from_arrow(
-        pa.table(
-            {
-                "part": pa.array(sorted(pairs_by_part), type=pa.int32()),
-                "doc_id": pa.array([-1] * len(pairs_by_part), type=pa.int64()),
-                "shingles": pa.array([[]] * len(pairs_by_part), type=pa.list_(pa.uint64())),
-            }
-        )
-    )
-    return (
-        ds.map_batches(
-            _shingle_stage,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=2048,
-        )
-        .union(seed)
-        .groupby("part")
-        .map_groups(verify_part, batch_format="pandas")
-    )
+#: the verify's needed-doc set: refs = pairs of the part citing the doc
+_NEEDED = _PairSpec(
+    pa.schema([("doc_id", pa.int64()), ("part", pa.int32()), ("refs", pa.int64())]),
+    "refs",
+)
 
 
-def _pairwise_jaccard_distributed(
-    ds, pairs: pd.DataFrame, shingle_k: int, n_parts: int = _PAIR_PARTITIONS
-) -> pd.DataFrame:
-    """Pandas-in/pandas-out verify (callers that already hold a bounded
-    candidate frame, e.g. `ngram_jaccard_pairs(pairs=...)`)."""
-    if pairs.empty:
-        return pairs.assign(jaccard=pd.Series([], dtype="float64"))
-    return _pairwise_jaccard_broadcast_ds(ds, pairs, shingle_k, n_parts).to_pandas()
+def _jaccard_ds(ds, pairs, shingle_k: int, threshold: int):
+    """Exact shingle-set Jaccard of every (doc_a, doc_b) row of the pair
+    Dataset `pairs` over the corpus `ds` (doc_id, text); counter rows
+    (doc_a < 0) and other columns are ignored:
 
-
-def _pairwise_jaccard_join_ds(
-    ds, pairs_ds, shingle_k: int, n_parts: int = _PAIR_PARTITIONS
-):
-    """Fully distributed exact-Jaccard verify: the candidate pair set NEVER
-    touches the driver.  Routing is a distributed hash join instead of a
-    broadcast dict:
-
-      pair rows     : part = hash(doc_a, doc_b) % n_parts
-      needed        : distinct (doc_id, part) references (distributed dedup,
-                      so a doc in many pairs ships its text <= n_parts times)
-      corpus ⋈ needed on doc_id (Ray hash join) -> (doc_id, text, part)
+      pair rows : part = hash(doc_a, doc_b) % n_parts
+      needed    : distinct (doc_id, part) references, deduped by
+                  `_dedup_pairs_regime` (a doc in many pairs ships its
+                  text <= n_parts times)
+      corpus ⋈ needed on doc_id — `regime_join` inner: needed broadcast
+                  up to `threshold` rows, hash join above
       shingle stage -> (part, doc_id, shingles), only for candidate docs
       union(pair rows, shingle rows) -> groupby(part) -> vectorized verify
 
-    Returns a DATASET of (doc_a, doc_b, jaccard) covering every input pair.
-    """
-    from ray.data.aggregate import Count
+    Above `threshold` rows the driver holds no pair.  Pairs whose docs are
+    absent from the corpus score 0.  Returns a DATASET of (doc_a, doc_b,
+    jaccard), one row per input pair row."""
+    import pyarrow.compute as pc
+    import ray.data as rd
 
-    # hash-join aggregators are ACTORS, one per partition, each holding a
-    # CPU slot: cap join partitions at half the cluster's CPUs or the map
-    # tasks starve (observed deadlock at 64 partitions on a 4-cpu node)
-    jp = max(2, min(n_parts, join_parts()))
+    pairs = pairs.materialize()
+    n_pairs = pairs.count()  # metadata-only once materialized
+    if n_pairs == 0:
+        return rd.from_arrow(_EMPTY_JACCARD_TABLE)
+    # >= 64 pairs per part: a small candidate set pays no 64-way shuffle
+    n_parts = int(np.clip(n_pairs // 64, 4, _PAIR_PARTITIONS))
     shingle_list = pa.list_(pa.uint64())
 
     def _pair_rows(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.greater_equal(batch.column("doc_a"), 0))
         n = batch.num_rows
         return pa.table(
             {
                 "part": pa.array(route_parts(batch, ["doc_a", "doc_b"], n_parts)),
-                "doc_a": batch.column("doc_a"),
-                "doc_b": batch.column("doc_b"),
+                "doc_a": batch.column("doc_a").cast(pa.int64()),
+                "doc_b": batch.column("doc_b").cast(pa.int64()),
                 "doc_id": pa.array(np.full(n, -1, dtype=np.int64), type=pa.int64()),
                 "shingles": pa.array([[]] * n, type=shingle_list),
             }
         )
 
-    pair_rows = pairs_ds.map_batches(
+    pair_rows = pairs.map_batches(
         _pair_rows, batch_format="pyarrow", zero_copy_batch=True
     )
 
@@ -502,17 +521,15 @@ def _pairwise_jaccard_join_ds(
                     ]
                 ),
                 "part": pa.concat_arrays([part, part]),
+                "refs": pa.array(np.ones(2 * batch.num_rows, dtype=np.int64)),
             }
         )
 
-    needed = (
-        pair_rows.map_batches(_doc_refs, batch_format="pyarrow")
-        .groupby(["doc_id", "part"])
-        .aggregate(Count(alias_name="_c"))
-        .select_columns(["doc_id", "part"])
+    needed = _dedup_pairs_regime(
+        pair_rows.map_batches(_doc_refs, batch_format="pyarrow"), _NEEDED, threshold
     )
-    joined = ds.select_columns(["doc_id", "text"]).join(
-        needed, "inner", jp, on=("doc_id",)
+    joined = regime_join(
+        ds.select_columns(["doc_id", "text"]), needed, "doc_id", "inner", threshold
     )
 
     def _shingle_rows(batch: pa.Table) -> pa.Table:
@@ -557,64 +574,6 @@ def _pairwise_jaccard_join_ds(
     )
 
 
-#: Above this many candidate pairs, verify routing switches from the
-#: broadcast-dict fast path (driver holds the pair list) to the fully
-#: distributed join path (driver holds nothing).
-BROADCAST_PAIRS_THRESHOLD = 100_000
-
-
-def _pairwise_jaccard_ds(
-    ds,
-    pairs_ds,
-    shingle_k: int,
-    n_parts: int = _PAIR_PARTITIONS,
-    broadcast_threshold: int = BROADCAST_PAIRS_THRESHOLD,
-):
-    """Dataset-in/Dataset-out verify: broadcast routing below
-    `broadcast_threshold` pairs (cheap at toy scale), distributed-join
-    routing above it (no driver-side pair materialization)."""
-    import ray.data as rd
-
-    n_pairs = pairs_ds.count()
-    if n_pairs == 0:
-        return rd.from_arrow(_EMPTY_JACCARD_TABLE)
-    if n_pairs <= broadcast_threshold:
-        return _pairwise_jaccard_broadcast_ds(
-            ds, pairs_ds.to_pandas(), shingle_k, n_parts
-        )
-    return _pairwise_jaccard_join_ds(ds, pairs_ds, shingle_k, n_parts)
-
-
-def _dedup_pairs_regime(
-    raw,
-    keys: list[str],
-    agg_specs,
-    pandas_agg,
-    empty_tbl: pa.Table,
-    threshold: int = BROADCAST_PAIRS_THRESHOLD,
-):
-    """Cross-partition pair dedup with a size regime: the raw pair rows are
-    materialized (object-store blocks, never the driver heap) and counted
-    (metadata-only).  Above `threshold` rows the dedup is a DISTRIBUTED
-    groupby — pairs never touch the driver; below it, one driver-side
-    pandas aggregation replaces a whole shuffle stage (a sort-shuffle of a
-    ~250-row pair set measures ~1.6 s of pure fixed task scheduling).
-    Returns a materialized/in-memory Dataset either way, so downstream
-    count()/to_pandas()/map_batches never re-execute the upstream chain."""
-    import ray.data as rd
-
-    raw = raw.materialize()
-    if raw.count() > threshold:
-        return raw.groupby(keys).aggregate(*agg_specs).materialize()
-    df = raw.to_pandas()
-    if df.empty:
-        return rd.from_arrow(empty_tbl)
-    out = pandas_agg(df)[empty_tbl.column_names]
-    return rd.from_arrow(
-        pa.Table.from_pandas(out, preserve_index=False).cast(empty_tbl.schema)
-    )
-
-
 def _split_by_truncated(t: pa.Table, counters: bool) -> pa.Table:
     """Vectorized split of a pair table into real rows / counter rows."""
     import pyarrow.compute as pc
@@ -651,13 +610,8 @@ def minhash_pairs_ds(
     n_parts: int | None = None,
 ):
     """Dataset-returning MinHash + banded-LSH near-duplicate pairs.
-    Above `broadcast_pairs_threshold` candidates the pair set NEVER
-    touches the driver (dedup, split and verify all distributed); below
-    it the driver holds at most `broadcast_pairs_threshold` rows — the
-    bounded regime — to skip shuffle stages toy scale can't amortize.
-    Consume with write_parquet / iter_batches / count, or `.to_pandas()`
-    when the caller knows the output is small (`minhash_lsh_pairs` is
-    that convenience wrapper).
+    Consume with write_parquet / iter_batches / count, or `pairs_frame`
+    when the caller knows the output is small.
 
     Output columns (doc_a, doc_b, jaccard, truncated):
       * real pairs — doc_a < doc_b, truncated == 0, jaccard = exact
@@ -666,13 +620,12 @@ def minhash_pairs_ds(
         rows covered by oversized skipped buckets (no-silent-caps; absent
         when nothing was truncated).
 
-    Cross-band pair dedup is a distributed groupby; verification routes doc
-    shingles to pair partitions via a broadcast dict only while the
-    candidate count is <= `broadcast_pairs_threshold`, else via a
-    distributed hash join (`_pairwise_jaccard_join_ds`)."""
+    Cross-band pair dedup (`_dedup_pairs_regime`) and the verify join
+    (`_jaccard_ds`) each run on the driver up to
+    `broadcast_pairs_threshold` rows and distributed above it, where the
+    pair set never touches the driver."""
     import pyarrow.compute as pc
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     P = _adaptive_pair_parts(ds, n_parts)
     sigs = ds.map_batches(
@@ -683,140 +636,48 @@ def minhash_pairs_ds(
         batch_size=2048,
         concurrency=(1, 8),
     )
-    # (doc_a, doc_b, truncated): deduped across bands — distributed groupby
-    # above the threshold, one driver pandas pass below it (regime helper)
     raw_pairs = routed_reduce(
-        sigs, _BUCKET_KEY, P, lambda g: _bucket_pairs_in_part(g, max_bucket)
+        sigs,
+        _BUCKET_KEY,
+        P,
+        lambda g: _bucket_pairs(g, _BUCKET_KEY, ["doc_id"], max_bucket, _SHARED, _all_pairs),
     )
-    cand = _dedup_pairs_regime(
-        raw_pairs,
-        ["doc_a", "doc_b"],
-        [Sum("truncated", alias_name="truncated")],
-        lambda df: df.groupby(["doc_a", "doc_b"], as_index=False)["truncated"].sum(),
-        pa.table(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "truncated": pa.array([], type=pa.int64()),
-            }
-        ),
-        threshold=broadcast_pairs_threshold,
+    cand = _dedup_pairs_regime(raw_pairs, _SHARED, broadcast_pairs_threshold)
+    if cand.count() == 0:  # metadata-only on a materialized dataset
+        return rd.from_arrow(_as_pair_output(_EMPTY_JACCARD_TABLE, "jaccard"))
+    counters = cand.map_batches(
+        lambda t: _as_pair_output(_split_by_truncated(t, True), "jaccard"),
+        batch_format="pyarrow",
     )
-    n_cand = cand.count()  # metadata-only on a materialized dataset
-    if n_cand > broadcast_pairs_threshold:
-        # distributed regime: splits stay Dataset-side, verify routes via
-        # the hash join — the driver never holds a pair row
-        counters = cand.map_batches(
-            lambda t: _as_pair_output(_split_by_truncated(t, True), "jaccard"),
-            batch_format="pyarrow",
-        )
-        real = cand.map_batches(
-            lambda t: _split_by_truncated(t, False), batch_format="pyarrow"
-        )
-        if not verify:
-            out = real.map_batches(
-                lambda t: _as_pair_output(t, "jaccard"), batch_format="pyarrow"
-            )
-            return out.union(counters)
-        ver = _pairwise_jaccard_join_ds(
-            ds, real.select_columns(["doc_a", "doc_b"]), shingle_k
-        )
-        out = ver.map_batches(
-            lambda t: _as_pair_output(
-                t, "jaccard", pc.greater_equal(t.column("jaccard"), jaccard_threshold)
-            ),
+    if not verify:
+        out = cand.map_batches(
+            lambda t: _as_pair_output(_split_by_truncated(t, False), "jaccard"),
             batch_format="pyarrow",
         )
         return out.union(counters)
-    # broadcast regime: the candidate set is driver-sized BY DEFINITION
-    # (<= broadcast_pairs_threshold rows), so split counters/real on the
-    # driver in one fetch instead of re-executing filter stages per branch
-    cand_df = cand.to_pandas()
-    if cand_df.empty:
-        return rd.from_arrow(_as_pair_output(_EMPTY_JACCARD_TABLE, "jaccard"))
-    counters_df = cand_df[cand_df["truncated"] > 0]
-    real_df = cand_df[cand_df["truncated"] == 0][["doc_a", "doc_b"]]
-    counters_tbl = pa.table(
-        {
-            "doc_a": pa.array(counters_df["doc_a"], type=pa.int64()),
-            "doc_b": pa.array(counters_df["doc_b"], type=pa.int64()),
-            "jaccard": pa.array(np.full(len(counters_df), np.nan), type=pa.float64()),
-            "truncated": pa.array(counters_df["truncated"], type=pa.int64()),
-        }
+    ver = _jaccard_ds(ds, cand, shingle_k, broadcast_pairs_threshold)
+    out = ver.map_batches(
+        lambda t: _as_pair_output(
+            t, "jaccard", pc.greater_equal(t.column("jaccard"), jaccard_threshold)
+        ),
+        batch_format="pyarrow",
     )
-    if verify and not real_df.empty:
-        ver = _pairwise_jaccard_broadcast_ds(ds, real_df, shingle_k)
-        out = ver.map_batches(
-            lambda t: _as_pair_output(
-                t, "jaccard", pc.greater_equal(t.column("jaccard"), jaccard_threshold)
-            ),
-            batch_format="pyarrow",
-        )
-    else:
-        out = rd.from_arrow(
-            pa.table(
-                {
-                    "doc_a": pa.array(real_df["doc_a"], type=pa.int64()),
-                    "doc_b": pa.array(real_df["doc_b"], type=pa.int64()),
-                    "jaccard": pa.array(np.full(len(real_df), np.nan), type=pa.float64()),
-                    "truncated": pa.array(np.zeros(len(real_df), dtype=np.int64)),
-                }
-            )
-        )
-    return out.union(rd.from_arrow(counters_tbl)) if len(counters_tbl) else out
+    return out.union(counters)
 
 
-def _pairs_ds_to_pandas(
-    out_ds, value_col: str, warn_tag: str, value_dtype: str = "float64"
-) -> pd.DataFrame:
-    """Shared wrapper tail: collect a pair Dataset, surface the truncation
-    counter as the historical WARNING print, drop counter rows, sort."""
-    out = out_ds.to_pandas()
-    if out.empty:
-        return pd.DataFrame(
-            {"doc_a": [], "doc_b": [], value_col: []}
-        ).astype({"doc_a": "int64", "doc_b": "int64", value_col: value_dtype})
+def pairs_frame(ds, value_col: str) -> pd.DataFrame:
+    """A driver-sized pair Dataset of any family as a pandas frame (the
+    two id columns, `value_col`) sorted by the ids.  The truncation counter
+    row is dropped after a WARNING that names the rows it covers."""
+    out = driver_table(ds).to_pandas()
+    a, b = out.columns[:2]
     truncated = int(out.loc[out["truncated"] > 0, "truncated"].sum())
     if truncated:
         print(
-            f"[{warn_tag}] WARNING: skipped buckets covering {truncated} docs (> max_bucket)"
+            f"[pairs_frame] WARNING: skipped buckets covering {truncated} rows (> max_bucket)"
         )
-    pairs = out[out["truncated"] == 0][["doc_a", "doc_b", value_col]]
-    return pairs.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def minhash_lsh_pairs(
-    ds,
-    num_perm: int = 64,
-    bands: int = 16,
-    shingle_k: int = 3,
-    jaccard_threshold: float = 0.5,
-    max_bucket: int = 2000,
-    verify: bool = True,
-    n_parts: int | None = None,
-):
-    """Near-duplicate pairs via MinHash + banded LSH, as a pandas DataFrame
-    (doc_a, doc_b, jaccard) with doc_a < doc_b — a driver-side convenience
-    wrapper over `minhash_pairs_ds` for corpora whose pair set fits in
-    driver memory; at scale call `minhash_pairs_ds` and write to parquet.
-    Pass `n_parts` explicitly for already-transformed input datasets (the
-    adaptive width otherwise derives it from ds.count(), which re-executes
-    a transformed chain)."""
-    return _pairs_ds_to_pandas(
-        minhash_pairs_ds(
-            ds,
-            num_perm=num_perm,
-            bands=bands,
-            shingle_k=shingle_k,
-            jaccard_threshold=jaccard_threshold,
-            max_bucket=max_bucket,
-            verify=verify,
-            n_parts=n_parts,
-        ),
-        "jaccard",
-        "minhash_lsh_pairs",
-        value_dtype="float64",
-    )
+    pairs = out[out["truncated"] == 0][[a, b, value_col]]
+    return pairs.sort_values([a, b]).reset_index(drop=True)
 
 
 def ngram_jaccard_pairs(
@@ -828,34 +689,25 @@ def ngram_jaccard_pairs(
 ) -> pd.DataFrame:
     """Exact n-gram (k-shingle) Jaccard for given candidate pairs — or, when
     ``pairs`` is None, for MinHash-LSH candidates (blocking first, so the
-    quadratic step never touches the full corpus).  ``pairs`` may be a
-    pandas frame (driver-sized) or a Ray DATASET of (doc_a, doc_b) — the
-    Dataset form routes through `_pairwise_jaccard_ds`, so huge externally-
-    computed candidate sets verify without touching the driver.  Output:
-    (doc_a, doc_b, jaccard) with jaccard >= threshold."""
+    quadratic step never touches the full corpus).  ``pairs`` is a pandas
+    frame or a Ray DATASET of (doc_a, doc_b), counter rows (doc_a < 0)
+    allowed; both forms verify through `_jaccard_ds`, so huge
+    externally-computed candidate sets verify without touching the
+    driver.  Output: (doc_a, doc_b, jaccard) with jaccard >= threshold,
+    one row per distinct pair."""
+    import ray.data as rd
+
     if pairs is None:
-        return minhash_lsh_pairs(
-            ds, shingle_k=shingle_k, jaccard_threshold=threshold, max_bucket=max_bucket
+        return pairs_frame(
+            minhash_pairs_ds(
+                ds, shingle_k=shingle_k, jaccard_threshold=threshold, max_bucket=max_bucket
+            ),
+            "jaccard",
         )
     if isinstance(pairs, pd.DataFrame):
-        out = _pairwise_jaccard_distributed(
-            ds, pairs[pairs["doc_a"] >= 0], shingle_k
-        )
-    else:  # Ray Dataset of candidate pairs: fully distributed routing
-        import pyarrow.compute as pc
-
-        def _clean(t: pa.Table) -> pa.Table:
-            # the *_pairs_ds output format includes (-1, -1) truncation
-            # counter rows — candidates they are not
-            t = t.filter(pc.greater_equal(t.column("doc_a"), 0))
-            return pa.table({"doc_a": t.column("doc_a"), "doc_b": t.column("doc_b")})
-
-        clean = pairs.map_batches(_clean, batch_format="pyarrow")
-        out = _pairwise_jaccard_ds(ds, clean, shingle_k).to_pandas()
-        # the join regime verifies the input MULTISET (no dedup stage);
-        # this API returns a driver frame, so dedup here for parity with
-        # the broadcast regime's internal drop_duplicates
-        out = out.drop_duplicates(["doc_a", "doc_b"])
+        pairs = rd.from_pandas(pairs)
+    out = _jaccard_ds(ds, pairs, shingle_k, BROADCAST_PAIRS_THRESHOLD).to_pandas()
+    out = out.drop_duplicates(["doc_a", "doc_b"])
     return out[out["jaccard"] >= threshold].sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
@@ -905,10 +757,9 @@ def simhash_pairs_ds(
     on the driver.
 
     Output columns (doc_a, doc_b, hamming, truncated): real pairs have
-    truncated == 0; the counter row (doc_a == doc_b == -1) carries the
-    total docs covered by oversized skipped buckets (no-silent-caps)."""
-    from ray.data.aggregate import Min, Sum
-
+    truncated == 0; the counter row (doc_a == doc_b == -1, hamming -1)
+    carries the total docs covered by oversized skipped buckets
+    (no-silent-caps)."""
     P = _adaptive_pair_parts(ds, n_parts)
     sigs = simhash_signatures(ds)
 
@@ -933,101 +784,26 @@ def simhash_pairs_ds(
     banded = sigs.map_batches(emit_bands, batch_format="pyarrow",
         zero_copy_batch=True, batch_size=8192)
 
-    def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["band", "band_hash", "doc_id"]).drop_duplicates(
-            ["band", "band_hash", "doc_id"]
-        )
-        band = g["band"].to_numpy()
-        bh = g["band_hash"].to_numpy()
-        ids = g["doc_id"].to_numpy()
+    def hamming_pairs(g: pd.DataFrame):
         hs = g["simhash"].to_numpy(dtype=np.uint64)
-        n = len(ids)
-        empty = pd.DataFrame(
-            {"doc_a": [], "doc_b": [], "hamming": [], "truncated": []}
-        ).astype(
-            {"doc_a": "int64", "doc_b": "int64", "hamming": "int64", "truncated": "int64"}
-        )
-        if n == 0:
-            return empty
-        starts = np.flatnonzero(np.r_[True, (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])])
-        ends = np.r_[starts[1:], n]
-        frames = []
-        truncated = []
-        for s, e in zip(starts, ends):
-            size = e - s
-            if size < 2:
-                continue
-            if size > max_bucket:
-                # no-silent-caps: surface skipped buckets as counter rows
-                truncated.append(int(size))
-                continue
-            ia, ib = np.triu_indices(size, k=1)
-            x = hs[s:e][ia] ^ hs[s:e][ib]
-            ham = _popcount64(x)
+
+        def emit(s: int, e: int):
+            ia, ib = np.triu_indices(e - s, k=1)
+            ham = _popcount64(hs[s:e][ia] ^ hs[s:e][ib])
             m = ham <= max_hamming
-            if m.any():
-                frames.append(
-                    pd.DataFrame(
-                        {
-                            "doc_a": ids[s:e][ia][m].astype("int64"),
-                            "doc_b": ids[s:e][ib][m].astype("int64"),
-                            "hamming": ham[m].astype("int64"),
-                            "truncated": np.zeros(int(m.sum()), dtype="int64"),
-                        }
-                    )
-                )
-        if truncated:
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "doc_a": [-1] * len(truncated),
-                        "doc_b": [-1] * len(truncated),
-                        "hamming": [-1] * len(truncated),
-                        "truncated": truncated,
-                    }
-                )
-            )
-        return pd.concat(frames, ignore_index=True) if frames else empty
+            return s + ia[m], s + ib[m], ham[m]
 
-    # cross-band dedup + counter merge: identical pairs found in several
-    # bands have identical hamming (Min picks one); counter rows all share
-    # the (-1, -1) key and Sum their covered-doc counts.  Distributed
-    # groupby above the size threshold, driver pandas pass below it.
-    raw_pairs = routed_reduce(banded, _BUCKET_KEY, P, pairs_in_part)
-    return _dedup_pairs_regime(
-        raw_pairs,
-        ["doc_a", "doc_b"],
-        [Min("hamming", alias_name="hamming"), Sum("truncated", alias_name="truncated")],
-        lambda df: df.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            hamming=("hamming", "min"), truncated=("truncated", "sum")
-        ),
-        pa.table(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "hamming": pa.array([], type=pa.int64()),
-                "truncated": pa.array([], type=pa.int64()),
-            }
-        ),
-        threshold=broadcast_pairs_threshold,
+        return emit
+
+    # a pair found in several bands has one hamming (min picks it)
+    spec = _pair_spec("doc_a", "doc_b", "hamming", "min", fill=-1)
+    raw_pairs = routed_reduce(
+        banded,
+        _BUCKET_KEY,
+        P,
+        lambda g: _bucket_pairs(g, _BUCKET_KEY, ["doc_id"], max_bucket, spec, hamming_pairs),
     )
-
-
-def simhash_pairs(
-    ds, max_hamming: int = 3, max_bucket: int = 2000, n_parts: int | None = None
-) -> pd.DataFrame:
-    """SimHash near-dup pairs as a pandas DataFrame (doc_a, doc_b, hamming)
-    — driver-side convenience wrapper over `simhash_pairs_ds`; at scale
-    call the Dataset variant and write to parquet."""
-    out = _pairs_ds_to_pandas(
-        simhash_pairs_ds(
-            ds, max_hamming=max_hamming, max_bucket=max_bucket, n_parts=n_parts
-        ),
-        "hamming",
-        "simhash_pairs",
-        value_dtype="int64",
-    )
-    return out.astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
+    return _dedup_pairs_regime(raw_pairs, spec, broadcast_pairs_threshold)
 
 
 # --------------------------------------------- embedding near-dup / cosine
@@ -1059,180 +835,77 @@ def embedding_pairs_ds(
     Output columns (vec_a, vec_b, cosine, truncated): real pairs have
     truncated == 0; the counter row (vec_a == vec_b == -1) carries the
     total vectors covered by oversized skipped buckets (no-silent-caps)."""
-    from ray.data.aggregate import Max, Sum
-
     P = _adaptive_pair_parts(emb_ds, n_parts)
-    rng = np.random.default_rng(seed)
 
-    class SignStage:
-        def __init__(self, planes):
-            self.planes = planes  # (n_tables, n_planes, dim) — broadcast once
+    def sign_keys(batch: pa.Table) -> pa.Table:
+        from indexer_ray.pipelines.ann import _embedding_matrix, _normalize
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from indexer_ray.pipelines.ann import _embedding_matrix, _normalize
+        Xn = _normalize(_embedding_matrix(batch.column("embedding")))
+        # every task draws the same planes: one seeded generator per dim
+        planes = np.random.default_rng(seed).standard_normal(
+            (n_tables, n_planes, Xn.shape[1])
+        )
+        keys = []
+        for ti in range(n_tables):
+            bits = (Xn @ planes[ti].T) > 0
+            key = np.full(len(Xn), np.uint64(ti) << np.uint64(56), dtype=np.uint64)
+            for j in range(bits.shape[1]):
+                key |= bits[:, j].astype(np.uint64) << np.uint64(j)
+            keys.append(key)
+        return pa.table(
+            {
+                "vec_id": pa.array(
+                    np.tile(batch.column("vec_id").to_numpy(zero_copy_only=False), n_tables)
+                ),
+                "bucket": pa.array(np.concatenate(keys), type=pa.uint64()),
+                "embedding": pa.concat_arrays(
+                    [batch.column("embedding").combine_chunks()] * n_tables
+                ),
+            }
+        )
 
-            Xn = _normalize(_embedding_matrix(batch.column("embedding")))
-            n = len(Xn)
-            keys = []
-            for ti in range(len(self.planes)):
-                bits = (Xn @ self.planes[ti].T) > 0
-                key = np.full(n, np.uint64(ti) << np.uint64(56), dtype=np.uint64)
-                for j in range(bits.shape[1]):
-                    key |= bits[:, j].astype(np.uint64) << np.uint64(j)
-                keys.append(key)
-            return pa.table(
-                {
-                    "vec_id": pa.array(
-                        np.tile(
-                            batch.column("vec_id").to_numpy(zero_copy_only=False),
-                            len(self.planes),
-                        )
-                    ),
-                    "bucket": pa.array(np.concatenate(keys), type=pa.uint64()),
-                    "embedding": pa.concat_arrays(
-                        [batch.column("embedding").combine_chunks()] * len(self.planes)
-                    ),
-                }
-            )
-
-    # peek dim from schema/first row
-    first = emb_ds.take(1)[0]
-    dim = len(first["embedding"])
-    planes = rng.standard_normal((n_tables, n_planes, dim))
     bucketed = emb_ds.select_columns(["vec_id", "embedding"]).map_batches(
-        SignStage,
-        fn_constructor_args=(planes,),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=4096,
-        concurrency=(1, 8),
+        sign_keys, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
     )
 
-    def verify_part(g: pd.DataFrame) -> pd.DataFrame:
-        """One vectorized pass over ALL buckets routed to this partition:
-        sort by (bucket, vec_id), find bucket boundaries, verify cosine
-        inside each — vec_a < vec_b holds because ids ascend in-slice."""
-        g = g.sort_values(["bucket", "vec_id"]).drop_duplicates(["bucket", "vec_id"])
-        bkt = g["bucket"].to_numpy(dtype=np.uint64)
-        ids = g["vec_id"].to_numpy()
-        n = len(ids)
-        empty = pd.DataFrame(
-            {"vec_a": [], "vec_b": [], "cosine": [], "truncated": []}
-        ).astype(
-            {"vec_a": "int64", "vec_b": "int64", "cosine": "float64", "truncated": "int64"}
-        )
-        if n == 0:
-            return empty
+    def cosine_pairs(g: pd.DataFrame):
         X = np.stack(g["embedding"].to_numpy())
         Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        starts = np.flatnonzero(np.r_[True, bkt[1:] != bkt[:-1]])
-        ends = np.r_[starts[1:], n]
-        frames, truncated = [], []
-        for s, e in zip(starts, ends):
-            size = e - s
-            if size < 2:
-                continue
-            if size > max_bucket:
-                truncated.append(int(size))
-                continue
+
+        def emit(s: int, e: int):
             sims = Xn[s:e] @ Xn[s:e].T
-            ia, ib = np.triu_indices(size, k=1)
+            ia, ib = np.triu_indices(e - s, k=1)
             m = sims[ia, ib] >= cosine_threshold
-            if m.any():
-                frames.append(
-                    pd.DataFrame(
-                        {
-                            "vec_a": ids[s:e][ia][m].astype("int64"),
-                            "vec_b": ids[s:e][ib][m].astype("int64"),
-                            "cosine": sims[ia, ib][m],
-                            "truncated": np.zeros(int(m.sum()), dtype="int64"),
-                        }
-                    )
-                )
-        if truncated:
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "vec_a": [-1] * len(truncated),
-                        "vec_b": [-1] * len(truncated),
-                        "cosine": [0.0] * len(truncated),
-                        "truncated": truncated,
-                    }
-                )
-            )
-        return pd.concat(frames, ignore_index=True) if frames else empty
+            return s + ia[m], s + ib[m], sims[ia, ib][m]
 
-    # cross-table dedup + counter merge (cosine is identical for the same
-    # pair in every table; Max just picks one): distributed groupby above
-    # the size threshold, driver pandas pass below it
-    raw_pairs = routed_reduce(bucketed, ["bucket"], P, verify_part)
-    return _dedup_pairs_regime(
-        raw_pairs,
-        ["vec_a", "vec_b"],
-        [Max("cosine", alias_name="cosine"), Sum("truncated", alias_name="truncated")],
-        lambda df: df.groupby(["vec_a", "vec_b"], as_index=False).agg(
-            cosine=("cosine", "max"), truncated=("truncated", "sum")
-        ),
-        pa.table(
-            {
-                "vec_a": pa.array([], type=pa.int64()),
-                "vec_b": pa.array([], type=pa.int64()),
-                "cosine": pa.array([], type=pa.float64()),
-                "truncated": pa.array([], type=pa.int64()),
-            }
-        ),
-        threshold=broadcast_pairs_threshold,
+        return emit
+
+    # a pair found in several tables has one cosine (max picks it)
+    spec = _pair_spec("vec_a", "vec_b", "cosine", "max", pa.float64(), fill=0.0)
+    raw_pairs = routed_reduce(
+        bucketed,
+        ["bucket"],
+        P,
+        lambda g: _bucket_pairs(g, ["bucket"], ["vec_id"], max_bucket, spec, cosine_pairs),
     )
+    return _dedup_pairs_regime(raw_pairs, spec, broadcast_pairs_threshold)
 
 
-def embedding_dup_pairs(
-    emb_ds,
-    cosine_threshold: float = 0.95,
-    n_planes: int = 12,
-    seed: int = 11,
-    brute: bool = False,
-    max_bucket: int = 4000,
-    n_tables: int = 4,
-    n_parts: int | None = None,
-) -> pd.DataFrame:
-    """Near-duplicate embedding pairs (vec_a < vec_b, cosine >= threshold)
-    as a pandas DataFrame — driver-side convenience wrapper over
-    `embedding_pairs_ds`; at scale call the Dataset variant and write to
-    parquet.  (`brute=True` is the exact all-pairs baseline used by tests
-    to measure recall.)"""
-    if brute:
-        t = emb_ds.select_columns(["vec_id", "embedding"]).to_pandas()
-        ids = t["vec_id"].to_numpy()
-        X = np.stack(t["embedding"].to_numpy())
-        Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-        sims = Xn @ Xn.T
-        ia, ib = np.triu_indices(len(ids), k=1)
-        m = sims[ia, ib] >= cosine_threshold
-        return (
-            pd.DataFrame({"vec_a": ids[ia][m], "vec_b": ids[ib][m], "cosine": sims[ia, ib][m]})
-            .sort_values(["vec_a", "vec_b"])
-            .reset_index(drop=True)
-        )
-    out = embedding_pairs_ds(
-        emb_ds,
-        cosine_threshold=cosine_threshold,
-        n_planes=n_planes,
-        seed=seed,
-        max_bucket=max_bucket,
-        n_tables=n_tables,
-        n_parts=n_parts,
-    ).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"vec_a": [], "vec_b": [], "cosine": []}).astype(
-            {"vec_a": "int64", "vec_b": "int64", "cosine": "float64"}
-        )
-    n_trunc = int(out.loc[out["truncated"] > 0, "truncated"].sum())
-    if n_trunc:
-        print(
-            f"[embedding_dup_pairs] WARNING: skipped buckets covering {n_trunc} vectors (> max_bucket)"
-        )
+def embedding_pairs_brute(emb_ds, cosine_threshold: float = 0.95) -> pd.DataFrame:
+    """Exact all-pairs reference for `embedding_pairs_ds`: every pair with
+    cosine >= threshold from one driver-side n x n matmul, as a pandas
+    frame (vec_a, vec_b, cosine) with vec_a < vec_b — the recall baseline
+    of the LSH path, for small inputs."""
+    # sorted ids make vec_a < vec_b whatever order the blocks arrive in
+    t = emb_ds.select_columns(["vec_id", "embedding"]).to_pandas().sort_values("vec_id")
+    ids = t["vec_id"].to_numpy()
+    X = np.stack(t["embedding"].to_numpy())
+    Xn = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    sims = Xn @ Xn.T
+    ia, ib = np.triu_indices(len(ids), k=1)
+    m = sims[ia, ib] >= cosine_threshold
     return (
-        out[out["truncated"] == 0][["vec_a", "vec_b", "cosine"]]
+        pd.DataFrame({"vec_a": ids[ia][m], "vec_b": ids[ib][m], "cosine": sims[ia, ib][m]})
         .sort_values(["vec_a", "vec_b"])
         .reset_index(drop=True)
     )
@@ -1445,105 +1118,15 @@ def winnow_pairs_ds(
     truncated == 0 and n_shared >= min_shared; the counter row
     (doc_a == doc_b == -1) carries the total docs covered by oversized
     skipped fp buckets (boilerplate runs — no silent caps)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
     P = _adaptive_pair_parts(ds, n_parts)
-    fps = winnow_fingerprints(ds, k=k, w=w)
-
-    def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["fp", "doc_id"]).drop_duplicates(["fp", "doc_id"])
-        fp = g["fp"].to_numpy(dtype=np.uint64)
-        ids = g["doc_id"].to_numpy()
-        n = len(ids)
-        empty = pd.DataFrame({"doc_a": [], "doc_b": [], "n_shared": [], "truncated": []}).astype(
-            {"doc_a": "int64", "doc_b": "int64", "n_shared": "int64", "truncated": "int64"}
-        )
-        if n == 0:
-            return empty
-        starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
-        ends = np.r_[starts[1:], n]
-        out_a, out_b, truncated = [], [], []
-        for s, e in zip(starts, ends):
-            size = e - s
-            if size < 2:
-                continue
-            if size > max_bucket:
-                truncated.append(int(size))
-                continue
-            ia, ib = np.triu_indices(size, k=1)
-            out_a.append(ids[s:e][ia])
-            out_b.append(ids[s:e][ib])
-        frames = []
-        if out_a:
-            a = np.concatenate(out_a)
-            b = np.concatenate(out_b)
-            pairs = pd.DataFrame({"doc_a": a.astype("int64"), "doc_b": b.astype("int64")})
-            agg = pairs.groupby(["doc_a", "doc_b"], sort=False).size().reset_index(name="n_shared")
-            agg["truncated"] = np.int64(0)
-            frames.append(agg)
-        if truncated:
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "doc_a": [-1] * len(truncated),
-                        "doc_b": [-1] * len(truncated),
-                        "n_shared": [0] * len(truncated),
-                        "truncated": truncated,
-                    }
-                )
-            )
-        return pd.concat(frames, ignore_index=True) if frames else empty
-
-    raw_pairs = routed_reduce(fps, ["fp"], P, pairs_in_part)
-    counted = _dedup_pairs_regime(
-        raw_pairs,
-        ["doc_a", "doc_b"],
-        [Sum("n_shared", alias_name="n_shared"), Sum("truncated", alias_name="truncated")],
-        lambda df: df.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            n_shared=("n_shared", "sum"), truncated=("truncated", "sum")
-        ),
-        pa.table(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "n_shared": pa.array([], type=pa.int64()),
-                "truncated": pa.array([], type=pa.int64()),
-            }
-        ),
-        threshold=broadcast_pairs_threshold,
+    raw_pairs = routed_reduce(
+        winnow_fingerprints(ds, k=k, w=w),
+        ["fp"],
+        P,
+        lambda g: _bucket_pairs(g, ["fp"], ["doc_id"], max_bucket, _SHARED, _all_pairs),
     )
-
-    def _apply_min_shared(t: pa.Table) -> pa.Table:
-        keep = pc.or_(
-            pc.greater(t.column("truncated"), 0),
-            pc.greater_equal(t.column("n_shared"), min_shared),
-        )
-        return t.filter(keep)
-
-    return counted.map_batches(_apply_min_shared, batch_format="pyarrow")
-
-
-def winnow_dup_pairs(
-    ds,
-    k: int = 5,
-    w: int = 4,
-    min_shared: int = 2,
-    max_bucket: int = 2000,
-    n_parts: int | None = None,
-) -> pd.DataFrame:
-    """Overlap-duplicate pairs as a pandas DataFrame (doc_a, doc_b,
-    n_shared) — driver-side convenience wrapper over `winnow_pairs_ds`; at
-    scale call the Dataset variant and write to parquet."""
-    out = _pairs_ds_to_pandas(
-        winnow_pairs_ds(
-            ds, k=k, w=w, min_shared=min_shared, max_bucket=max_bucket, n_parts=n_parts
-        ),
-        "n_shared",
-        "winnow_dup_pairs",
-        value_dtype="int64",
-    )
-    return out.astype({"doc_a": "int64", "doc_b": "int64", "n_shared": "int64"})
+    counted = _dedup_pairs_regime(raw_pairs, _SHARED, broadcast_pairs_threshold)
+    return _at_least_shared(counted, min_shared)
 
 
 # ------------------------------------------------------- duplicate clusters
@@ -1765,9 +1348,6 @@ def cross_corpus_overlap_ds(
     ACROSS-side pairs in one vectorized pass, a distributed groupby sums
     shared counts, and the counter row (doc_id == probe_id == -1) carries
     docs covered by oversized fp buckets (boilerplate; no silent caps)."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
     P = _adaptive_pair_parts(corpus_ds, n_parts)
 
     def _fp_rows(batch: pa.Table) -> pa.Table:
@@ -1782,96 +1362,26 @@ def cross_corpus_overlap_ds(
         for d in (corpus_ds, probe_ds)
     ]
 
-    def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["fp", "side", "doc_id"]).drop_duplicates(
-            ["fp", "side", "doc_id"]
-        )
-        fp = g["fp"].to_numpy(dtype=np.uint64)
-        ids = g["doc_id"].to_numpy()
+    def cross_pairs(g: pd.DataFrame):
         side = g["side"].to_numpy()
-        n = len(ids)
-        empty = pd.DataFrame(
-            {"doc_id": [], "probe_id": [], "n_shared": [], "truncated": []}
-        ).astype(
-            {"doc_id": "int64", "probe_id": "int64", "n_shared": "int64", "truncated": "int64"}
-        )
-        if n == 0:
-            return empty
-        starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
-        ends = np.r_[starts[1:], n]
-        out_c, out_p, truncated = [], [], []
-        for s, e in zip(starts, ends):
-            size = e - s
-            if size < 2:
-                continue
-            if size > max_bucket:
-                truncated.append(int(size))
-                continue
+
+        def emit(s: int, e: int):
             # side-sorted within the bucket: corpus rows first, probe after
-            n_c = int((side[s:e] == 0).sum())
-            if n_c == 0 or n_c == size:
-                continue  # fp seen on one side only
-            c_ids = ids[s : s + n_c]
-            p_ids = ids[s + n_c : e]
-            ii, jj = np.meshgrid(
-                np.arange(n_c), np.arange(size - n_c), indexing="ij"
-            )
-            out_c.append(c_ids[ii.ravel()])
-            out_p.append(p_ids[jj.ravel()])
-        frames = []
-        if out_c:
-            cp = pd.DataFrame(
-                {
-                    "doc_id": np.concatenate(out_c).astype("int64"),
-                    "probe_id": np.concatenate(out_p).astype("int64"),
-                }
-            )
-            agg = cp.groupby(["doc_id", "probe_id"], sort=False).size().reset_index(
-                name="n_shared"
-            )
-            agg["truncated"] = np.int64(0)
-            frames.append(agg)
-        if truncated:
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "doc_id": [-1] * len(truncated),
-                        "probe_id": [-1] * len(truncated),
-                        "n_shared": [0] * len(truncated),
-                        "truncated": truncated,
-                    }
-                )
-            )
-        return pd.concat(frames, ignore_index=True) if frames else empty
+            m = s + int((side[s:e] == 0).sum())
+            ii, jj = np.meshgrid(np.arange(s, m), np.arange(m, e), indexing="ij")
+            return ii.ravel(), jj.ravel(), np.ones(ii.size, dtype=np.int64)
 
-    raw = routed_reduce(sides, ["fp"], P, pairs_in_part)
-    counted = _dedup_pairs_regime(
-        raw,
-        ["doc_id", "probe_id"],
-        [Sum("n_shared", alias_name="n_shared"), Sum("truncated", alias_name="truncated")],
-        lambda df: df.groupby(["doc_id", "probe_id"], as_index=False).agg(
-            n_shared=("n_shared", "sum"), truncated=("truncated", "sum")
-        ),
-        pa.table(
-            {
-                "doc_id": pa.array([], type=pa.int64()),
-                "probe_id": pa.array([], type=pa.int64()),
-                "n_shared": pa.array([], type=pa.int64()),
-                "truncated": pa.array([], type=pa.int64()),
-            }
-        ),
-        threshold=broadcast_pairs_threshold,
+        return emit
+
+    spec = _pair_spec("doc_id", "probe_id", "n_shared")
+    raw = routed_reduce(
+        sides,
+        ["fp"],
+        P,
+        lambda g: _bucket_pairs(g, ["fp"], ["side", "doc_id"], max_bucket, spec, cross_pairs),
     )
-    import pyarrow.compute as pc
-
-    def _apply_min_shared(t: pa.Table) -> pa.Table:
-        keep = pc.or_(
-            pc.greater(t.column("truncated"), 0),
-            pc.greater_equal(t.column("n_shared"), min_shared),
-        )
-        return t.filter(keep)
-
-    return counted.map_batches(_apply_min_shared, batch_format="pyarrow")
+    counted = _dedup_pairs_regime(raw, spec, broadcast_pairs_threshold)
+    return _at_least_shared(counted, min_shared)
 
 
 def decontaminate_ds(

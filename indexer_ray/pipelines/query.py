@@ -658,8 +658,8 @@ def facet_counts(searcher: IndexSearcher, docs_ds, query: str, facet_col: str = 
     (`ray.put` of the sorted id array, searchsorted per batch) and a tiny
     groupby counts survivors per facet.  The broadcast is the match set,
     not the corpus: fine to ~10^8 ids; above that, swap the filter for a
-    distributed semi-join on doc_id (the dedup family's routing-join
-    pattern, dedup._pairwise_jaccard_join_ds).
+    distributed semi-join on doc_id (`shuffle.regime_join`, as the dedup
+    family's Jaccard verify does).
 
     Output: (facet_col, n_docs)."""
     import ray

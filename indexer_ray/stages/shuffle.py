@@ -136,9 +136,13 @@ def join_parts() -> int:
 
 def driver_table(ds) -> pa.Table:
     """Every row of a (small) Dataset as one Arrow table on the driver,
-    pulled block by block — never through per-row dicts."""
+    pulled block by block — never through per-row dicts.  Materialized
+    first: `to_arrow_refs` reads the schema, which would run a lazy
+    Dataset a second time up to its first row (all of it behind a
+    shuffle)."""
     import ray
 
+    ds = ds.materialize()
     blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
     if blocks:
         return pa.concat_tables(blocks, promote_options="default")
@@ -207,6 +211,18 @@ def _lead_row(schema: pa.Schema, key: str, value):
     return rd.from_arrow(pa.table(cols))
 
 
+def _arrow_schema(ds) -> pa.Schema | None:
+    """``ds``'s schema in Arrow types, None if it produced no block.  A
+    Dataset of pandas blocks (``from_pandas``) reports numpy dtypes, with
+    strings as ``object``; one row converted to Arrow types it."""
+    schema = ds.schema()
+    if schema is None:
+        return None
+    if isinstance(schema.base_schema, pa.Schema):
+        return schema.base_schema
+    return driver_table(ds.limit(1)).schema
+
+
 def _any_key(ds, key: str):
     """Some non-null ``key`` value of a materialized Dataset, or None."""
     import ray
@@ -243,10 +259,9 @@ def regime_join(big, small, key: str, how: str, threshold: int):
 
         return big.map_batches(_broadcast, batch_format="pyarrow", zero_copy_batch=True)
 
-    schema = big.schema()
+    schema = _arrow_schema(big)
     if schema is None:  # no block ever produced: nothing to join
         return big
-    schema = schema.base_schema
     # Ray's hash join sends each side's schema to every partition with
     # the side's FIRST block and skips 0-row blocks, so a side that starts
     # empty reaches the join without its schema.  A one-row lead block,
@@ -260,7 +275,7 @@ def regime_join(big, small, key: str, how: str, threshold: int):
         if lead_key is None:
             return big
     big = _lead_row(schema, key, lead_key).union(big)
-    small = _lead_row(small.schema().base_schema, key, None).union(small)
+    small = _lead_row(_arrow_schema(small), key, None).union(small)
     if pa.types.is_uint64(schema.field(key).type):
         kw = {"fn_kwargs": {"key": key}, "batch_format": "pyarrow"}
         big = big.map_batches(_as_signed, **kw)

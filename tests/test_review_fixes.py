@@ -206,7 +206,7 @@ def test_pdf_trailer_bytes_after_real_trailer():
 def test_empty_pair_frames_keep_value_dtypes(ray_session):
     import ray.data as rd
 
-    from indexer_ray.pipelines.dedup import minhash_lsh_pairs, simhash_pairs
+    from indexer_ray.pipelines.dedup import minhash_pairs_ds, pairs_frame, simhash_pairs_ds
 
     docs = pd.DataFrame(
         {
@@ -218,9 +218,9 @@ def test_empty_pair_frames_keep_value_dtypes(ray_session):
         }
     )
     ds = rd.from_pandas(docs)
-    mh = minhash_lsh_pairs(ds, jaccard_threshold=0.99)
+    mh = pairs_frame(minhash_pairs_ds(ds, jaccard_threshold=0.99), "jaccard")
     assert len(mh) == 0 and str(mh["jaccard"].dtype) == "float64"
-    sh = simhash_pairs(ds, max_hamming=0)
+    sh = pairs_frame(simhash_pairs_ds(ds, max_hamming=0), "hamming")
     if len(sh) == 0:
         assert str(sh["hamming"].dtype) == "int64"
 

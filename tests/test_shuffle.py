@@ -220,6 +220,20 @@ def test_regime_join_regimes_agree_with_pandas(ray_session, how, key_type, case)
         assert bc_schema.field("k").type == big.schema.field("k").type
 
 
+@pytest.mark.parametrize("how", ["left_semi", "left_anti", "inner"])
+def test_regime_join_pandas_blocks(ray_session, how):
+    """Datasets of pandas blocks (`from_pandas`, string keys as numpy
+    `object`) join like their Arrow twins in both regimes."""
+    import ray.data as rd
+
+    big, small = _join_inputs("string", "full")
+    b = rd.from_pandas(big.to_pandas())
+    s = rd.from_pandas(small.to_pandas())
+    want = _pandas_reference(big, small, how)
+    for threshold in (10**9, 0):
+        assert _collect(regime_join(b, s, "k", how, threshold))[0] == want
+
+
 def test_regime_join_rejects_other_join_types(ray_session):
     import ray.data as rd
 

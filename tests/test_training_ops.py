@@ -1,9 +1,12 @@
 """Training-data operators: dedup family, ANN, text analysis, multimodal
 plumbing — checked against in-test brute-force oracles on sf0.001."""
 
+import itertools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -62,14 +65,16 @@ def test_exact_duplicates_finds_injected_dups(ray_session, docs_pdf):
 def test_minhash_finds_near_dups(ray_session, docs_pdf):
     import ray.data as rd
 
-    from indexer_ray.pipelines.dedup import minhash_lsh_pairs
+    from indexer_ray.pipelines.dedup import minhash_pairs_ds, pairs_frame
 
     # inject near-duplicates: copy docs with a small tail edit
     near = docs_pdf.head(8).copy()
     near["doc_id"] = near["doc_id"] + 200_000
     near["text"] = near["text"] + " extra tail token"
     both = pd.concat([docs_pdf, near], ignore_index=True)
-    pairs = minhash_lsh_pairs(rd.from_pandas(both), jaccard_threshold=0.5)
+    pairs = pairs_frame(
+        minhash_pairs_ds(rd.from_pandas(both), jaccard_threshold=0.5), "jaccard"
+    )
     found = set(zip(pairs["doc_a"], pairs["doc_b"]))
     expected = {(i, i + 200_000) for i in docs_pdf.head(8)["doc_id"]}
     assert expected <= found, expected - found
@@ -79,13 +84,13 @@ def test_minhash_finds_near_dups(ray_session, docs_pdf):
 def test_simhash_pairs(ray_session, docs_pdf):
     import ray.data as rd
 
-    from indexer_ray.pipelines.dedup import simhash_pairs
+    from indexer_ray.pipelines.dedup import pairs_frame, simhash_pairs_ds
 
     near = docs_pdf.head(4).copy()
     near["doc_id"] = near["doc_id"] + 300_000
     near["text"] = near["text"] + " tail"
     both = pd.concat([docs_pdf, near], ignore_index=True)
-    pairs = simhash_pairs(rd.from_pandas(both), max_hamming=3)
+    pairs = pairs_frame(simhash_pairs_ds(rd.from_pandas(both), max_hamming=3), "hamming")
     found = set(zip(pairs["doc_a"], pairs["doc_b"]))
     expected = {(i, i + 300_000) for i in docs_pdf.head(4)["doc_id"]}
     # simhash with hamming<=3 must at minimum catch these light edits
@@ -95,10 +100,14 @@ def test_simhash_pairs(ray_session, docs_pdf):
 
 
 def test_embedding_dup_pairs_brute_vs_lsh(emb_ds, ray_session):
-    from indexer_ray.pipelines.dedup import embedding_dup_pairs
+    from indexer_ray.pipelines.dedup import (
+        embedding_pairs_brute,
+        embedding_pairs_ds,
+        pairs_frame,
+    )
 
-    brute = embedding_dup_pairs(emb_ds, cosine_threshold=0.9, brute=True)
-    lsh = embedding_dup_pairs(emb_ds, cosine_threshold=0.9, n_planes=8)
+    brute = embedding_pairs_brute(emb_ds, cosine_threshold=0.9)
+    lsh = pairs_frame(embedding_pairs_ds(emb_ds, cosine_threshold=0.9, n_planes=8), "cosine")
     bset = set(zip(brute["vec_a"], brute["vec_b"]))
     lset = set(zip(lsh["vec_a"], lsh["vec_b"])) if len(lsh) else set()
     # LSH returns a subset of the true pairs (no false positives after verify)
@@ -114,7 +123,11 @@ def test_embedding_lsh_multitable_recall(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from indexer_ray.pipelines.dedup import embedding_dup_pairs
+    from indexer_ray.pipelines.dedup import (
+        embedding_pairs_brute,
+        embedding_pairs_ds,
+        pairs_frame,
+    )
 
     rng = np.random.default_rng(2)
     X = rng.standard_normal((300, 32))
@@ -127,12 +140,18 @@ def test_embedding_lsh_multitable_recall(ray_session):
         }
     )
     ds = rd.from_arrow(t)
-    brute = embedding_dup_pairs(ds, cosine_threshold=0.9, brute=True)
+    brute = embedding_pairs_brute(ds, cosine_threshold=0.9)
     bset = set(zip(brute["vec_a"], brute["vec_b"]))
     assert len(bset) >= 30
+    # the reference does not depend on row order: vec_a < vec_b always
+    rev = rd.from_arrow(t.take(np.arange(len(X))[::-1]))
+    pd.testing.assert_frame_equal(embedding_pairs_brute(rev, cosine_threshold=0.9), brute)
 
     def recall(n_tables):
-        lsh = embedding_dup_pairs(ds, cosine_threshold=0.9, n_planes=12, n_tables=n_tables)
+        lsh = pairs_frame(
+            embedding_pairs_ds(ds, cosine_threshold=0.9, n_planes=12, n_tables=n_tables),
+            "cosine",
+        )
         lset = set(zip(lsh["vec_a"], lsh["vec_b"])) if len(lsh) else set()
         assert lset <= bset  # verify step: no false positives
         return len(lset & bset) / len(bset)
@@ -348,7 +367,7 @@ def test_winnow_dup_pairs(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from indexer_ray.pipelines.dedup import winnow_dup_pairs
+    from indexer_ray.pipelines.dedup import pairs_frame, winnow_pairs_ds
 
     rng = np.random.default_rng(12)
     vocab = [f"w{i}" for i in range(400)]
@@ -365,7 +384,7 @@ def test_winnow_dup_pairs(ray_session):
             "text": pa.array(texts, type=pa.string()),
         }
     )
-    pairs = winnow_dup_pairs(rd.from_arrow(t), k=5, w=4, min_shared=2)
+    pairs = pairs_frame(winnow_pairs_ds(rd.from_arrow(t), k=5, w=4, min_shared=2), "n_shared")
     got = set(zip(pairs["doc_a"], pairs["doc_b"]))
     assert (3, 60) in got
     assert not any(61 in p for p in got)
@@ -494,7 +513,9 @@ def test_minhash_pairs_ds_join_path_no_driver_materialization(ray_session, docs_
     both = pd.concat([docs_pdf, near], ignore_index=True)
     ds = rd.from_pandas(both)
 
-    want = dedup.minhash_lsh_pairs(ds, jaccard_threshold=0.5)  # broadcast path
+    want = dedup.pairs_frame(  # driver regime
+        dedup.minhash_pairs_ds(ds, jaccard_threshold=0.5), "jaccard"
+    )
 
     real_to_pandas = rd.Dataset.to_pandas
     real_take_all = rd.Dataset.take_all
@@ -625,7 +646,8 @@ def test_drop_duplicates_ds(ray_session, docs_pdf):
     from indexer_ray.pipelines.dedup import (
         drop_duplicates_ds,
         dup_clusters,
-        minhash_lsh_pairs,
+        minhash_pairs_ds,
+        pairs_frame,
     )
 
     near = docs_pdf.head(6).copy()
@@ -633,7 +655,7 @@ def test_drop_duplicates_ds(ray_session, docs_pdf):
     near["text"] = near["text"] + " extra tail token"
     both = pd.concat([docs_pdf, near], ignore_index=True)
     ds = rd.from_pandas(both)
-    pairs = minhash_lsh_pairs(ds, jaccard_threshold=0.5)
+    pairs = pairs_frame(minhash_pairs_ds(ds, jaccard_threshold=0.5), "jaccard")
     clusters = dup_clusters(pairs)
     kept = drop_duplicates_ds(ds, clusters).to_pandas()
     kept_ids = set(kept["doc_id"])
@@ -646,9 +668,11 @@ def test_drop_duplicates_ds(ray_session, docs_pdf):
 
 
 def test_simhash_and_winnow_ds_distributed_dedup_regime(ray_session, docs_pdf):
-    """Forcing broadcast_pairs_threshold=0 routes the cross-partition pair
-    dedup through the DISTRIBUTED groupby; results must equal the driver
-    regime for simhash and winnow."""
+    """Forcing broadcast_pairs_threshold=0 routes every pair dedup and the
+    minhash verify join through their DISTRIBUTED regime; the output of
+    all five pair families must equal the driver regime's exactly, the
+    truncation counter row included (max_bucket=4 truncates the bucket of
+    five identical docs / vectors)."""
     import ray.data as rd
 
     from indexer_ray.pipelines import dedup
@@ -656,16 +680,66 @@ def test_simhash_and_winnow_ds_distributed_dedup_regime(ray_session, docs_pdf):
     near = docs_pdf.head(4).copy()
     near["doc_id"] = near["doc_id"] + 300_000
     near["text"] = near["text"] + " tail"
-    both = pd.concat([docs_pdf, near], ignore_index=True)
-    ds = rd.from_pandas(both)
+    same = docs_pdf.iloc[[10] * 4].copy()
+    same["doc_id"] = 400_000 + np.arange(4)
+    ds = rd.from_pandas(pd.concat([docs_pdf, near, same], ignore_index=True))
+    probe = rd.from_pandas(docs_pdf.iloc[[1, 10]][["doc_id", "text"]])
 
-    for fn, col in ((dedup.simhash_pairs_ds, "hamming"), (dedup.winnow_pairs_ds, "n_shared")):
-        a = fn(ds).to_pandas()
-        b = fn(ds, broadcast_pairs_threshold=0).to_pandas()
-        key = ["doc_a", "doc_b"]
-        a = a.sort_values(key).reset_index(drop=True)[key + [col, "truncated"]]
-        b = b.sort_values(key).reset_index(drop=True)[key + [col, "truncated"]]
-        pd.testing.assert_frame_equal(a.astype("int64"), b.astype("int64"), check_dtype=False)
+    rng = np.random.default_rng(3)
+    X = pq.read_table(f"{SF}/embeddings.parquet").column("embedding").to_pylist()
+    X = np.asarray(X, dtype=np.float64)
+    X = np.vstack([X, X[:4] + rng.standard_normal((4, X.shape[1])) * 0.01, [X[10]] * 4])
+    emb = rd.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(np.arange(len(X)), type=pa.int64()),
+                "embedding": pa.array(X.tolist(), type=pa.list_(pa.float64())),
+            }
+        )
+    )
+
+    families = {
+        "minhash": lambda **kw: dedup.minhash_pairs_ds(ds, **kw),
+        "simhash": lambda **kw: dedup.simhash_pairs_ds(ds, **kw),
+        "embedding": lambda **kw: dedup.embedding_pairs_ds(emb, **kw),
+        "winnow": lambda **kw: dedup.winnow_pairs_ds(ds, **kw),
+        "cross_corpus": lambda **kw: dedup.cross_corpus_overlap_ds(ds, probe, **kw),
+    }
+    # max_bucket=1 truncates every bucket: the counter row alone, and an
+    # empty verify join for minhash
+    for (name, fn), max_bucket in itertools.product(families.items(), (4, 1)):
+        a = fn(max_bucket=max_bucket).to_pandas()
+        b = fn(max_bucket=max_bucket, broadcast_pairs_threshold=0).to_pandas()
+        a = a.sort_values(list(a.columns)).reset_index(drop=True)
+        b = b.sort_values(list(b.columns)).reset_index(drop=True)
+        pd.testing.assert_frame_equal(a, b, obj=f"{name} max_bucket={max_bucket}")
+        assert (a["truncated"] > 0).sum() == 1, name
+        assert (a["truncated"] == 0).any() == (max_bucket == 4), name
+
+
+@pytest.mark.parametrize(
+    "family", ["minhash", "simhash", "embedding", "winnow", "cross_corpus"]
+)
+def test_pair_families_keep_schema_on_empty_input(ray_session, family):
+    import ray.data as rd
+
+    from indexer_ray.pipelines import dedup
+
+    docs = rd.read_parquet(f"{SF}/documents.parquet").filter(expr="doc_id < 0")
+    emb = rd.read_parquet(f"{SF}/embeddings.parquet").filter(expr="vec_id < 0")
+    run, names = {
+        "minhash": (lambda: dedup.minhash_pairs_ds(docs), ["doc_a", "doc_b", "jaccard"]),
+        "simhash": (lambda: dedup.simhash_pairs_ds(docs), ["doc_a", "doc_b", "hamming"]),
+        "embedding": (lambda: dedup.embedding_pairs_ds(emb), ["vec_a", "vec_b", "cosine"]),
+        "winnow": (lambda: dedup.winnow_pairs_ds(docs), ["doc_a", "doc_b", "n_shared"]),
+        "cross_corpus": (
+            lambda: dedup.cross_corpus_overlap_ds(docs, docs),
+            ["doc_id", "probe_id", "n_shared"],
+        ),
+    }[family]
+    out = run()
+    assert out.count() == 0
+    assert out.schema().names == names + ["truncated"]
 
 
 def test_cross_corpus_decontamination(ray_session):
