@@ -166,13 +166,18 @@ def _verify_part(batch: dict, index_dir: str) -> pa.Table:
             )
             if not (doc[ends] == last).all():
                 err.append("block last_doc_id mismatch with decoded ids")
-            # strictly increasing within blocks: every non-first delta > 0
+            # strictly increasing within blocks, compared as uint64: an
+            # int64 difference wraps for hash ids more than 2^63 apart
             if len(doc) > 1:
-                deltas = np.diff(doc.astype(np.int64))
                 first_rows = np.zeros(len(doc), dtype=bool)
                 first_rows[starts] = True
-                if not (deltas[~first_rows[1:]] > 0).all():
+                if not (doc[1:] > doc[:-1])[~first_rows[1:]].all():
                     err.append("non-increasing doc ids inside a block")
+            # and across a term's consecutive blocks: the searcher takes a
+            # term's blocks, in block_id order, as one doc-sorted run
+            same = (terms[1:] == terms[:-1]) & (bids[1:] > bids[:-1])
+            if not (doc[starts[1:][same]] > doc[ends[:-1][same]]).all():
+                err.append("a term's consecutive blocks not in doc_id order")
         n_post += len(doc)
         msgs.extend(f"partition {pid}: {e}" for e in err)
     return pa.table(

@@ -25,7 +25,9 @@ Two kernels, both exact:
     docs, and drops a candidate whose partial score plus the non-essential
     terms' per-block bounds (from the blocks' max_tf, min_dl) is below θ.
     Survivors are scored in full in term order, so results equal
-    exhaustive bit for bit (tested).
+    exhaustive bit for bit (tested).  Each term caches its contributions,
+    block bounds and k best positions across queries (`_TermBlocks`), so
+    a warm single-term query is a slice of O(k) positions.
 
 Unlike the reference — which re-reads every segment dictionary from disk on
 every query (tree.rs:397-404) — each partition's ``blocks.parquet`` is read
@@ -42,6 +44,7 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from itertools import accumulate
 
 import numpy as np
 import pyarrow as pa
@@ -51,9 +54,12 @@ import pyarrow.parquet as pq
 from indexer_ray.conformance.lexer import tokenize, tokenize_plain
 from indexer_ray.conformance.scorer import B, K1, bm25_idf, tfidf_idf
 from indexer_ray.functions.hashing import hot_term_partitions, term_partition
-from indexer_ray.stages.codec import decode_blocks
+from indexer_ray.stages.codec import BLOCK_SIZE, decode_blocks, encode_term_postings
 from indexer_ray.state.manifest import IndexManifest, part_dir
 
+
+#: float64 machine epsilon, for the MaxScore cut's rounding margin
+_EPS = sys.float_info.epsilon
 
 #: the columns of ``blocks.parquet`` the searcher reads
 _BLOCKS_SCHEMA = pa.schema(
@@ -109,32 +115,39 @@ class _PartBlocks:
 class _TermBlocks:
     """All block metadata + payloads for one term, in global doc_id order.
 
-    ``decoded`` lazily caches the fully-decoded (doc_ids, tfs, dls) arrays —
-    hot Zipf-head terms are decoded once per searcher, not once per query.
-    ``contrib`` caches the decoded postings' score contributions, and
-    ``contrib_max`` their largest, for the (scorer, weight, avgdl) in
-    ``contrib_key``; a query with another key recomputes both in place.
-    ``nbytes``, the charge against the searcher's cache budget, counts the
-    payloads, 40 bytes per block of metadata and 32 bytes per posting for
-    the three decoded arrays and ``contrib``."""
+    ``decoded`` lazily caches the decoded (doc_ids, tfs, dls), read-only:
+    hot terms decode once per searcher, not once per query.  Cached under
+    ``contrib_key`` = (scorer, weight, avgdl), recomputed when it changes:
+    ``contrib`` (the postings' contributions), ``contrib_max``, ``bound``
+    (each block's bound, from its max_tf and min_dl) and ``top`` = (k, the
+    k best positions), also recomputed for another k.  ``nbytes``, the
+    cache charge, counts the payloads, 48 bytes per block (metadata and
+    ``bound``) and 40 per posting (``decoded``, ``contrib``, a position)."""
 
     __slots__ = (
         "term", "df", "first", "last", "n", "max_tf", "min_dl", "payloads",
-        "decoded", "contrib", "contrib_max", "contrib_key", "nbytes",
+        "decoded", "contrib", "contrib_max", "bound", "top", "contrib_key", "nbytes",
     )
 
     def __init__(self, term, df, first, last, n, max_tf, min_dl, payloads):
         self.term, self.df = term, df
         self.first, self.last, self.n = first, last, n
         self.max_tf, self.min_dl, self.payloads = max_tf, min_dl, payloads
-        self.decoded = self.contrib = self.contrib_max = self.contrib_key = None
-        self.nbytes = sum(len(p) for p in payloads) + 40 * len(n) + 32 * int(n.sum())
+        self.decoded = self.contrib = self.contrib_max = self.bound = self.top = self.contrib_key = None
+        self.nbytes = sum(len(p) for p in payloads) + 48 * len(n) + 40 * int(n.sum())
 
     def decode_all(self):
         if self.decoded is None:
-            doc_ids, tfs, dls, _ = decode_blocks(self.payloads, self.n, self.first)
-            self.decoded = (doc_ids, tfs, dls)
+            self.decoded = decode_blocks(self.payloads, self.n, self.first)[:3]
+            for a in self.decoded:
+                a.flags.writeable = False
         return self.decoded
+
+    def top_positions(self, k: int) -> np.ndarray:
+        """`_top_positions` of the cached contributions, cached with them."""
+        if self.top is None or self.top[0] != k:
+            self.top = (k, _top_positions(self.decoded[0], self.contrib, k))
+        return self.top[1]
 
 
 def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray]):
@@ -171,23 +184,21 @@ def _full_scores(ids: np.ndarray, doc_runs: list[np.ndarray], contrib_runs: list
     return out
 
 
+def _top_positions(docs: np.ndarray, scores: np.ndarray, k: int | None) -> np.ndarray:
+    """Positions of the first k (all when k is None) of (docs, scores) ranked
+    (score desc, doc_id asc), exact-zero scores dropped (Q6, tree.rs:457)."""
+    kth = 0.0
+    if k is not None and k < len(scores):
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    # ALL boundary ties of a positive k-th score, else every nonzero score
+    idx = np.flatnonzero(scores >= kth if kth > 0.0 else scores)
+    return idx[np.lexsort((docs[idx], -scores[idx]))][:k]
+
+
 def _top_k(docs: np.ndarray, scores: np.ndarray, k: int | None) -> list[tuple[int, float]]:
-    """[(doc_id, score)] sorted (score desc, doc_id asc), exact-zero scores
-    dropped (Q6, tree.rs:457); the first k, or all when k is None."""
-
-    def kth_of(s):
-        return np.partition(s, len(s) - k)[len(s) - k] if k is not None and k < len(s) else None
-
-    kth = kth_of(scores)
-    if kth is None or not kth > 0.0:
-        # a zero could reach the top k: drop the zeros, then select
-        nz = scores != 0.0
-        docs, scores = docs[nz], scores[nz]
-        kth = kth_of(scores)
-    idx = np.arange(len(scores)) if kth is None else np.flatnonzero(scores >= kth)  # ALL boundary ties
-    order = idx[np.lexsort((docs[idx], -scores[idx]))]
-    items = [(int(d), float(s)) for d, s in zip(docs[order], scores[order])]
-    return items if k is None else items[:k]
+    """[(doc_id, score)] of `_top_positions`."""
+    pos = _top_positions(docs, scores, k)
+    return list(zip(docs[pos].tolist(), scores[pos].tolist()))
 
 
 class IndexSearcher:
@@ -268,12 +279,8 @@ class IndexSearcher:
         return self._cached(("term", term), lambda: self._read_term_blocks(term))
 
     def _read_term_blocks(self, term: str) -> _TermBlocks | None:
-        runs = []
-        for p in self._parts_of_term(term):
-            pb = self._part(p)
-            rows = pb.rows(term)
-            if rows.stop > rows.start:
-                runs.append((pb, rows))
+        runs = [(pb, pb.rows(term)) for pb in map(self._part, self._parts_of_term(term))]
+        runs = [(pb, rows) for pb, rows in runs if rows.stop > rows.start]
         if not runs:
             return None
         first, last, n, max_tf, min_dl = (
@@ -284,16 +291,19 @@ class IndexSearcher:
         pays = [b for pb, rows in runs for b in pb.payload[rows].to_pylist()]
         # salted runs are doc_id-range-disjoint: order blocks globally
         order = np.argsort(first, kind="stable")
-        return _TermBlocks(
-            term,
-            int(n.sum()),
-            first[order],
-            last[order],
-            n[order],
-            max_tf[order],
-            min_dl[order],
-            [pays[i] for i in order],
-        )
+        first, last, n, max_tf, min_dl = (a[order] for a in (first, last, n, max_tf, min_dl))
+        pays = [pays[i] for i in order]
+        if (first[1:] <= last[:-1]).any():
+            # a partition holding two salts, not adjacent, blocks them as one
+            # run, so a block can straddle a salt held elsewhere: re-block
+            # the term's postings in doc_id order, as the build blocks a run
+            ids, tfs, dls, _ = decode_blocks(pays, n, first)
+            o = np.argsort(ids, kind="stable")
+            c = encode_term_postings(np.zeros(len(o), np.int64), ids[o], tfs[o], dls[o],
+                                     int(self.m.config.get("block_size", BLOCK_SIZE)))
+            first, last, pays = c["first_doc_id"], c["last_doc_id"], c["payload"].to_pylist()
+            n, max_tf, min_dl = (c[k].astype(np.int64) for k in ("n", "max_tf", "min_dl"))
+        return _TermBlocks(term, int(n.sum()), first, last, n, max_tf, min_dl, pays)
 
     # ---- scoring kernels ----
 
@@ -349,7 +359,8 @@ class IndexSearcher:
             tb.contrib = self._contrib(scorer, w, tfs, dls)
             tb.contrib.flags.writeable = False
             tb.contrib_max = float(tb.contrib.max())
-            tb.contrib_key = key
+            tb.bound = self._contrib(scorer, w, tb.max_tf, tb.min_dl)
+            tb.top, tb.contrib_key = None, key
         return tb.contrib
 
     # ---- public API ----
@@ -404,16 +415,17 @@ class IndexSearcher:
 
         Contributions are >= 0, so a doc's partial score over some of its
         terms is at most its full score, which is at most the partial score
-        plus the other terms' bounds.  θ, the smallest full score among the
-        k highest-contribution postings of the highest-bound term, is met by
-        k distinct docs, so no doc scoring below θ reaches the top k.  The
+        plus the other terms' bounds.  One term's top k is its cached best
+        positions (`_TermBlocks.top_positions`).  Otherwise θ, the smallest
+        full score among those positions of the highest-bound term, is met
+        by k distinct docs, so no doc scoring below θ reaches the top k.  The
         terms of the longest ascending-bound prefix whose bounds sum below θ
         are non-essential: a doc holding only those terms scores below θ.
         The essential terms' docs are the candidates; a candidate is dropped
-        when its partial score plus, per non-essential term, the bound of
-        the block covering it is below θ.  Survivors are scored in full —
-        contributions added into 0.0 in query-term order, the order of
-        `_sum_runs` — and ranked by `_top_k`.  Both cuts are strict (a doc
+        when its partial score plus, per non-essential term, the cached
+        bound of the block covering it is below θ.  Survivors are scored in
+        full — contributions added into 0.0 in query-term order, the order
+        of `_sum_runs` — and ranked by `_top_k`.  Both cuts are strict (a doc
         scoring exactly θ can still win its tie on doc_id) and lowered by a
         relative margin that covers float rounding in the sums.
 
@@ -425,43 +437,44 @@ class IndexSearcher:
           payload_decodes — blocks the codec decoded during this search (a
             term's first touch decodes its whole list)."""
         nblocks = [len(tb.n) for _, _, tb in terms]
-        stats = {
-            "windows": len(terms),
-            "windows_skipped": 0,
-            "blocks_decoded": sum(nblocks),
+        stats = self.last_wand_stats = {
+            "windows": len(terms), "windows_skipped": 0,
+            "blocks_decoded": sum(nblocks), "blocks_total": sum(nblocks),
             "payload_decodes": sum(nb for nb, (*_, tb) in zip(nblocks, terms) if tb.decoded is None),
-            "blocks_total": sum(nblocks),
         }
-        self.last_wand_stats = stats
         docs = [tb.decode_all()[0] for _, _, tb in terms]
         contribs = [self._term_contrib(scorer, w, tb) for _, w, tb in terms]
-        bounds = np.array([tb.contrib_max for _, _, tb in terms])
-        top = int(np.argmax(bounds))
-        theta = -np.inf  # one term, or the top term holds fewer than k postings
-        if len(terms) > 1 and len(docs[top]) >= k:
-            seeds = docs[top][np.argpartition(contribs[top], -k)[-k:]]
-            theta = _full_scores(seeds, docs, contribs).min()
+        bounds = [tb.contrib_max for _, _, tb in terms]
+        top = bounds.index(max(bounds))
+        seeds = terms[top][2].top_positions(k)
+        if len(terms) == 1:
+            return list(zip(docs[0][seeds].tolist(), contribs[0][seeds].tolist()))
+        theta = -math.inf  # the top term holds fewer than k scoring postings
+        if len(seeds) == k:
+            theta = float(_full_scores(docs[top][seeds], docs, contribs).min())
         # a float sum of n addends >= 0 is within n*eps/2 of exact, so a bound
         # can round below the score it covers, by less than n*eps
-        cut = theta * (1.0 - 2 * len(terms) * np.finfo(np.float64).eps)
-        order = np.argsort(bounds, kind="stable")
-        n_non = int(np.searchsorted(np.cumsum(bounds[order]), cut, side="left"))
+        cut = theta * (1.0 - 2 * len(terms) * _EPS)
+        order = sorted(range(len(terms)), key=bounds.__getitem__)
+        n_non = bisect_left(list(accumulate(bounds[i] for i in order)), cut)
         if n_non == 0:
             return _top_k(*_sum_runs(docs, contribs), k)
-        ess = sorted(order[n_non:].tolist())
+        ess = sorted(order[n_non:])
         cand, bound = _sum_runs([docs[i] for i in ess], [contribs[i] for i in ess])
         covering = []
         for i in order[:n_non]:
-            _, w, tb = terms[i]
+            tb = terms[i][2]
             b = np.searchsorted(tb.last, cand)  # first block ending at or after the doc
             bc = np.minimum(b, len(tb.last) - 1)
             hit = (b < len(tb.last)) & (tb.first[bc] <= cand)
-            bound = bound + np.where(hit, self._contrib(scorer, w, tb.max_tf, tb.min_dl)[bc], 0.0)
+            bound = bound + np.where(hit, tb.bound[bc], 0.0)
             covering.append((b, hit))
         keep = bound >= cut
         stats["windows_skipped"] = n_non
+        # b ascends with cand: count its distinct values by their steps
         stats["blocks_decoded"] = sum(nblocks[i] for i in ess) + sum(
-            len(np.unique(b[keep & hit])) for b, hit in covering
+            len(b) and 1 + int(np.count_nonzero(b[1:] != b[:-1]))
+            for b in (b[keep & hit] for b, hit in covering)
         )
         survivors = cand[keep]
         return _top_k(survivors, _full_scores(survivors, docs, contribs), k)
@@ -498,7 +511,7 @@ class IndexSearcher:
                 return np.empty(0, dtype=np.uint64)
             tbs.append(tb)
         tbs.sort(key=lambda tb: tb.df)
-        cand = self._sorted_doc_ids(tbs[0])
+        cand = tbs[0].decode_all()[0]
         for tb in tbs[1:]:
             if len(cand) == 0:
                 return cand
@@ -518,13 +531,6 @@ class IndexSearcher:
             out.extend(self._tokenize(p))
         return list(dict.fromkeys(out))
 
-    @staticmethod
-    def _sorted_doc_ids(tb: _TermBlocks) -> np.ndarray:
-        ids = tb.decode_all()[0]
-        if len(ids) > 1 and not np.all(ids[1:] > ids[:-1]):
-            ids = np.sort(ids)  # defensive: runs are normally range-disjoint
-        return ids
-
     def _filter_member(self, cand: np.ndarray, tb: _TermBlocks, keep: bool) -> np.ndarray:
         """Keep (or drop) candidates that appear in ``tb``'s posting list,
         decoding only blocks whose id range intersects the candidates."""
@@ -533,29 +539,22 @@ class IndexSearcher:
         needed = np.flatnonzero(hi > lo)
         if len(needed) == 0:
             return np.empty(0, dtype=np.uint64) if keep else cand
-        if tb.decoded is not None:
-            ids = self._sorted_doc_ids(tb)
-        else:
-            ids, _, _, _ = decode_blocks(
-                [tb.payloads[i] for i in needed], tb.n[needed], tb.first[needed]
-            )
-            if len(ids) > 1 and not np.all(ids[1:] > ids[:-1]):
-                ids = np.sort(ids)
+        ids = tb.decoded[0] if tb.decoded is not None else decode_blocks(
+            [tb.payloads[i] for i in needed], tb.n[needed], tb.first[needed]
+        )[0]
         pos = np.searchsorted(ids, cand)
         member = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == cand)
         return cand[member] if keep else cand[~member]
 
     def term_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """Decoded global posting list for one ALREADY-tokenized term:
-        (doc_ids, tfs) in doc_id order (S8 analogue, decoded via the block
-        codec; used by the driver oracle to diff the built index against
-        SQL-computed term frequencies)."""
+        (doc_ids, tfs) in doc_id order, read-only (S8 analogue, decoded via
+        the block codec; used by the driver oracle to diff the built index
+        against SQL-computed term frequencies)."""
         tb = self._load_term_blocks(term)
         if tb is None:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        doc_ids, tfs, _ = tb.decode_all()
-        order = np.argsort(doc_ids, kind="stable")
-        return doc_ids[order], tfs[order]
+        return tb.decode_all()[:2]
 
     # ---- resolution (Q5 analogue: doc_id -> url via docmap) ----
 
@@ -626,7 +625,7 @@ class IndexSearcher:
         for t in dict.fromkeys(self._tokenize(query)):
             tb = self._load_term_blocks(t)
             if tb is not None:
-                parts.append(self._sorted_doc_ids(tb))
+                parts.append(tb.decode_all()[0])
         if not parts:
             return np.empty(0, dtype=np.uint64)
         out = parts[0]

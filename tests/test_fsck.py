@@ -42,6 +42,18 @@ def test_clean_index_verifies(built_index):
     assert r["stats"]["docmap_rows"] == r["stats"]["n_docs"]
 
 
+def test_hash_id_index_verifies_deep(ray_session, tmp_path):
+    """Hashed doc ids spread over all of uint64: one block can hold ids
+    more than 2^63 apart, which the in-block order check must not read as
+    a decrease."""
+    pages = str(tmp_path / "pages.parquet")
+    generate_pages_parquet(pages, n_rows=300, seed=11)
+    idx = str(tmp_path / "index")
+    build_index([pages], idx, BuildConfig(n_partitions=8, id_assign="hash"))
+    r = verify_index(idx, deep=True)
+    assert r["ok"], r["errors"]
+
+
 def test_missing_part_marker_fails_shallow(built_index):
     idx, root = built_index
     bad = _copy(idx, root, "bad_marker")
@@ -121,6 +133,37 @@ def test_unsorted_blocks_fail_deep(built_index):
     assert not r["ok"]
     assert r["errors"] == [f"partition {os.path.basename(os.path.dirname(path))}: "
                            "blocks.parquet rows not sorted by (term, block_id)"]
+
+
+def test_swapped_term_blocks_fail_deep(built_index):
+    """Two blocks of one term trade places while the rows keep their
+    (term, block_id) order: every block still decodes, matches its own
+    first/last ids and counts toward df, but the term's postings are no
+    longer one doc-sorted run."""
+    import numpy as np
+
+    idx, root = built_index
+    bad = _copy(idx, root, "bad_term_block_order")
+    for path in sorted(glob.glob(os.path.join(bad, "parts", "*", "blocks.parquet"))):
+        b = pq.read_table(path)
+        terms = b.column("term").to_numpy(zero_copy_only=False)
+        same = np.flatnonzero(terms[1:] == terms[:-1])
+        if len(same):
+            break
+    else:
+        raise AssertionError("no term with two blocks in one partition")
+    i = int(same[0])
+    rows = list(range(b.num_rows))
+    rows[i], rows[i + 1] = i + 1, i
+    swapped = b.take(rows)
+    keep = ("term", "block_id")  # row order by (term, block_id) is kept
+    for c in keep:
+        swapped = swapped.set_column(b.schema.get_field_index(c), c, b.column(c))
+    pq.write_table(swapped, path)
+    assert verify_index(bad)["ok"]
+    r = verify_index(bad, deep=True)
+    assert r["errors"] == [f"partition {os.path.basename(os.path.dirname(path))}: "
+                           "a term's consecutive blocks not in doc_id order"]
 
 
 def test_duplicate_docmap_rows_fail_deep(built_index):

@@ -160,11 +160,12 @@ def test_wand_branches_equal_exhaustive(built, query, k, scorer, skipped):
 def test_cached_contributions_follow_scoring_inputs(built):
     """One searcher with a small cache budget, calls alternating scorer,
     algorithm, global_stats (avgdl alone, n_docs and df alone, all three),
-    duplicate query tokens and k beyond the match count: every call
-    equals a fresh searcher's, and the LRU's byte count stays the sum of
-    its entries' charges — partition block tables included — within
-    budget.  One budget holds two partitions and evicts; a second is
-    below every partition's charge, so no partition is ever kept."""
+    duplicate query tokens and k (1, 3, beyond the match count), on
+    single-term and multi-term queries: every call equals a fresh
+    searcher's, and the LRU's byte count stays the sum of its entries'
+    charges — partition block tables included — within budget.  One
+    budget holds two partitions and evicts; a second is below every
+    partition's charge, so no partition is ever kept."""
     index_dir, manifest, _ = built
     vocab = make_vocab()
     hot, mid = vocab[0], vocab[100]
@@ -189,7 +190,7 @@ def test_cached_contributions_follow_scoring_inputs(built):
                 for scorer in ("bm25", "tfidf"):
                     for gs in stats:
                         for algorithm in ("exhaustive", "wand"):
-                            for k in (3, 1000):
+                            for k in (1, 3, 1000):
                                 kw = dict(k=k, scorer=scorer, algorithm=algorithm, global_stats=gs)
                                 got = s.search(q, **kw)
                                 assert got == IndexSearcher(index_dir).search(q, **kw), (q, kw)
@@ -356,3 +357,62 @@ def test_boolean_search_vs_brute(built):
     assert len(s.search_boolean(["zzzznoterm", "running"])) == 0
     with pytest.raises(ValueError):
         s.search_boolean([], ["running"])
+
+
+def test_salts_sharing_a_partition_read_in_doc_order(ray_session, tmp_path):
+    """A hot term with three salts whose first and last share a partition
+    that the middle salt does not: that partition blocks salts 0 and 2 as
+    one run, so one of its blocks straddles salt 1's doc range.  Every
+    reader of the term's postings must still see them in doc_id order."""
+    import numpy as np
+    import pyarrow as pa
+
+    from indexer_ray.conformance.lexer import tokenize_plain
+    from indexer_ray.functions.hashing import hot_term_partitions
+    from indexer_ray.state.manifest import part_dir
+
+    n = 200
+    texts = [" ".join(["hotterm"] * (1 + i % 3) + [f"filler{i % 7}", f"tail{i % 11}"])
+             for i in range(n)]
+    pages = str(tmp_path / "pages.parquet")
+    pq.write_table(pa.table({
+        "url": [f"u://{i}" for i in range(n)],
+        "warc_ts": pa.array([0] * n, type=pa.timestamp("us")),
+        "html": pa.array([b""] * n, type=pa.binary()),
+        "text": texts,
+    }), pages)
+    cfg = BuildConfig(mode="plain", n_partitions=8, block_size=16,
+                      target_run_postings=20, max_salts=3)
+    manifest = build_index([pages], str(tmp_path / "idx"), cfg)
+    assert manifest.hot_terms["hotterm"] == 3
+    p0, p1, p2 = hot_term_partitions("hotterm", 3, 8)
+    assert p0 == p2 != p1
+    on_disk = {
+        p: pq.read_table(os.path.join(part_dir(str(tmp_path / "idx"), p), "blocks.parquet"),
+                         filters=[("term", "=", "hotterm")])
+        for p in (p0, p1)
+    }
+    mid_lo = min(on_disk[p1].column("first_doc_id").to_pylist())
+    assert any(f < mid_lo < l for f, l in zip(on_disk[p0].column("first_doc_id").to_pylist(),
+                                             on_disk[p0].column("last_doc_id").to_pylist()))
+
+    corpus = [(i, tokenize_plain(t)) for i, t in enumerate(texts)]
+    docs_with = {}
+    for doc_id, toks in corpus:
+        for t in toks:
+            docs_with.setdefault(t, set()).add(doc_id)
+    s = IndexSearcher(str(tmp_path / "idx"))
+    ids, tfs = s.term_postings("hotterm")
+    assert ids.tolist() == list(range(n))
+    assert tfs.tolist() == [1 + i % 3 for i in range(n)]
+    assert s.matching_doc_ids("hotterm filler3").tolist() == list(range(n))
+    assert s.search_boolean(["filler3", "hotterm"], ["tail4"]).tolist() == sorted(
+        docs_with["filler3"] - docs_with["tail4"])
+    brutes = {"tfidf": brute_force_tfidf_topk, "bm25": brute_force_bm25_topk}
+    for q in ("hotterm", "hotterm filler3", "tail4 hotterm filler2", "hotterm filler0 filler4"):
+        for scorer, brute in brutes.items():
+            for k in (1, 5, 10, None):
+                ex = s.search(q, k=k, scorer=scorer, algorithm="exhaustive")
+                assert s.search(q, k=k, scorer=scorer, algorithm="wand") == ex, (q, scorer, k)
+                want = brute(corpus, tokenize_plain(q), k=k)
+                assert [d for d, _ in ex] == [d for d, _ in want], (q, scorer, k)

@@ -1,10 +1,11 @@
 """The warm query kernel's per-doc summing (`_sum_runs`) equals the
-`np.unique` + `np.add.at` reference accumulate, bit for bit."""
+`np.unique` + `np.add.at` reference accumulate, bit for bit, and its top-k
+selection (`_top_positions`, `_top_k`) equals a brute-force sort."""
 
 import numpy as np
 import pytest
 
-from indexer_ray.pipelines.query import _sum_runs
+from indexer_ray.pipelines.query import _sum_runs, _top_k, _top_positions
 
 
 def _unique_add_at(doc_runs, contrib_runs):
@@ -64,3 +65,39 @@ def test_sum_runs_disjoint_identical_and_empty_runs(layout, n_runs):
     ref_docs, ref_sums = _unique_add_at(doc_runs, contrib_runs)
     assert np.array_equal(docs, ref_docs)
     assert np.array_equal(sums.view(np.uint64), ref_sums.view(np.uint64))
+
+
+def _sorted_top_k(docs, scores, k):
+    """Reference ranking: nonzero scores sorted by (-score, doc_id)."""
+    ranked = sorted(((d, s) for d, s in zip(docs.tolist(), scores.tolist()) if s != 0.0),
+                    key=lambda ds: (-ds[1], ds[0]))
+    return ranked if k is None else ranked[:k]
+
+
+@pytest.mark.parametrize("base", [0, 2**63 + 7, 2**64 - 1_000])
+@pytest.mark.parametrize("values", ["ties", "distinct"])
+def test_top_k_equals_sorted(base, values):
+    """Heavy ties at the k-th score (a handful of distinct values), exact
+    zeros (none, some, all), every k from 1 past n, ids >= 2^63 given in
+    no particular order."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        docs = np.uint64(base) + rng.permutation(900)[:n].astype(np.uint64)
+        if values == "ties":
+            scores = rng.choice([0.25, 0.5, 1.0, 3.0], n)
+        else:
+            scores = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+        scores[rng.random(n) < (0.0, 0.3, 1.0)[seed % 3]] = 0.0
+        for k in {1, 3, max(n - 1, 1), n, n + 5, None}:
+            want = _sorted_top_k(docs, scores, k)
+            pos = _top_positions(docs, scores, k)
+            assert list(zip(docs[pos].tolist(), scores[pos].tolist())) == want, (seed, k)
+            assert _top_k(docs, scores, k) == want, (seed, k)
+
+
+def test_top_k_empty_input():
+    docs, scores = np.empty(0, np.uint64), np.empty(0)
+    for k in (1, 3, None):
+        assert _top_k(docs, scores, k) == []
+        assert len(_top_positions(docs, scores, k)) == 0

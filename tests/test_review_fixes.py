@@ -440,3 +440,56 @@ print(json.dumps({
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["add_output"] is False and got["dedupe"] is False
     assert len(got["warnings"]) == 1
+
+
+class _EmptyRangeJoinBroken(Exception):
+    """Stock Ray failed the empty-range sort reduce into a join."""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=_EmptyRangeJoinBroken,
+    reason="Ray's sort reduce emits empty ranges as zero-column blocks, which "
+    "break a downstream join; once this passes, Ray is fixed and _raypatch "
+    "can go",
+)
+def test_raypatch_canary_empty_sort_range_into_join():
+    """Canary for the bug `_raypatch` works around, run on stock Ray (a
+    fresh process that never imports indexer_ray, so the patch is off): a
+    sort-based groupby with more ranges than keys feeds a join.  Ray
+    2.49.2 raises in the join's hash-shuffle finalize."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import json
+import numpy as np, pandas as pd, ray, ray.data as rd
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+df = pd.DataFrame({"k": np.arange(500, dtype=np.int64) % 3, "v": np.arange(500, dtype=np.int64)})
+left = (
+    rd.from_pandas(df)
+    .repartition(16)  # 16 sort ranges over 3 distinct keys
+    .groupby("k")
+    .map_groups(lambda g: pd.DataFrame({"k": [int(g["k"].iloc[0])], "n": [len(g)]}),
+                batch_format="pandas")
+)
+right = rd.from_pandas(pd.DataFrame({"k": np.arange(3, dtype=np.int64), "w": list("abc")}))
+try:
+    out = left.join(right, "inner", 4, on=("k",)).to_pandas().sort_values("k")
+    got = {"raised": None, "rows": out[["k", "n", "w"]].values.tolist()}
+except Exception as e:
+    got = {"raised": f"{type(e).__name__}: {str(e)[:500]}", "rows": None}
+ray.shutdown()
+print(json.dumps(got))
+"""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=repo, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    if got["raised"]:
+        raise _EmptyRangeJoinBroken(got["raised"])
+    assert got["rows"] == [[0, 167, "a"], [1, 167, "b"], [2, 166, "c"]]
