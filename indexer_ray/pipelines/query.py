@@ -14,10 +14,16 @@ Two scorers sharing one decode path:
     payload (inlined norms), avgdl/N from the manifest.
 
 Two kernels, both exact:
-  * exhaustive — decode every matching posting list, merge the per-term
-    doc-sorted runs and sum each doc's contributions in term order
-    (`_sum_runs`); the reference the top-k kernel is tested against, and
-    the path for k=None;
+  * exhaustive — decode every matching posting list and sum each doc's
+    contributions in term order (`_sum_runs`): a union whose doc-id span
+    is at most `_DENSE_SPAN` times its postings is added run by run into
+    one dense float array over the span (the reference's per-doc
+    accumulator, tree.rs:418/445-449), any other union — sparse, or
+    hash-assigned ids — is merged by a stable argsort and summed with
+    ``np.bincount``.  Both add each doc's contributions into 0.0 in term
+    order, so they agree bit for bit; the dense array's 9 B per span slot
+    bound it at 9 × `_DENSE_SPAN` B per posting summed.  The reference the
+    top-k kernel is tested against, and the path for k=None;
   * block-max MaxScore ("wand", and "auto" whenever k is given) — seeds
     the top-k threshold θ from the full scores of the highest-bound term's
     best postings, splits off the low-bound terms whose bounds cannot
@@ -25,7 +31,9 @@ Two kernels, both exact:
     docs, and drops a candidate whose partial score plus the non-essential
     terms' per-block bounds (from the blocks' max_tf, min_dl) is below θ.
     Survivors are scored in full in term order, so results equal
-    exhaustive bit for bit (tested).  Each term caches its contributions,
+    exhaustive bit for bit (tested).  A query that prunes nothing sums
+    its whole union, and the essential terms' candidates are summed, with
+    `_sum_runs` too.  Each term caches its contributions,
     block bounds and k best positions across queries (`_TermBlocks`), so
     a warm single-term query is a slice of O(k) positions.
 
@@ -60,6 +68,10 @@ from indexer_ray.state.manifest import IndexManifest, part_dir
 
 #: float64 machine epsilon, for the MaxScore cut's rounding margin
 _EPS = sys.float_info.epsilon
+
+#: `_sum_runs` adds runs into one dense array when their doc-id span is at
+#: most this many times their postings (the sweep is in BASELINE.md)
+_DENSE_SPAN = 4
 
 #: the columns of ``blocks.parquet`` the searcher reads
 _BLOCKS_SCHEMA = pa.schema(
@@ -120,13 +132,15 @@ class _TermBlocks:
     ``contrib_key`` = (scorer, weight, avgdl), recomputed when it changes:
     ``contrib`` (the postings' contributions), ``contrib_max``, ``bound``
     (each block's bound, from its max_tf and min_dl) and ``top`` = (k, the
-    k best positions), also recomputed for another k.  ``nbytes``, the
+    k best positions), also recomputed for another k.  ``ends`` = (first
+    doc_id, last doc_id, postings) feeds `_sum_runs`' gate.  ``nbytes``, the
     cache charge, counts the payloads, 48 bytes per block (metadata and
-    ``bound``) and 40 per posting (``decoded``, ``contrib``, a position)."""
+    ``bound``), 32 per posting (``decoded`` and ``contrib``) and 8 per
+    cached position, moved as ``top`` changes (`IndexSearcher._set_top`)."""
 
     __slots__ = (
         "term", "df", "first", "last", "n", "max_tf", "min_dl", "payloads",
-        "decoded", "contrib", "contrib_max", "bound", "top", "contrib_key", "nbytes",
+        "decoded", "contrib", "contrib_max", "bound", "top", "contrib_key", "nbytes", "ends",
     )
 
     def __init__(self, term, df, first, last, n, max_tf, min_dl, payloads):
@@ -134,7 +148,8 @@ class _TermBlocks:
         self.first, self.last, self.n = first, last, n
         self.max_tf, self.min_dl, self.payloads = max_tf, min_dl, payloads
         self.decoded = self.contrib = self.contrib_max = self.bound = self.top = self.contrib_key = None
-        self.nbytes = sum(len(p) for p in payloads) + 48 * len(n) + 40 * int(n.sum())
+        self.nbytes = sum(len(p) for p in payloads) + 48 * len(n) + 32 * int(n.sum())
+        self.ends = (int(first[0]), int(last[-1]), df)  # the blocks are doc-ordered
 
     def decode_all(self):
         if self.decoded is None:
@@ -143,25 +158,53 @@ class _TermBlocks:
                 a.flags.writeable = False
         return self.decoded
 
-    def top_positions(self, k: int) -> np.ndarray:
-        """`_top_positions` of the cached contributions, cached with them."""
-        if self.top is None or self.top[0] != k:
-            self.top = (k, _top_positions(self.decoded[0], self.contrib, k))
-        return self.top[1]
 
-
-def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray]):
+def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray],
+              ends: list[tuple[int, int, int]] | None = None, stats: dict | None = None):
     """Per-doc score sums over several (doc_ids, contributions) runs, one per
     query term in term order, each sorted by doc_id with unique ids.
 
     Returns (doc_ids ascending and unique, sums).  One run is returned as
-    is.  Several are merged by a stable argsort — timsort merges the
-    pre-sorted runs, and equal ids keep their run order — and summed with
-    ``np.bincount``, which adds each doc's contributions one by one in that
-    order, starting from 0.0: float-order parity with the spec scorer
-    (tree.rs:418/445-449), for any uint64 ids."""
+    is.  Several are summed one of two ways, chosen from the runs' end ids
+    and lengths alone — ``ends``, (first id, last id, length) per non-empty
+    run as `_TermBlocks.ends` caches them, else read off the runs:
+      * dense — the runs' id span (max last id − min first id + 1) is at
+        most `_DENSE_SPAN` × their total postings: each run's contributions
+        are added into one zeroed float64 array over the span, run by run,
+        and a bool mask marks the members, returned in id order.  The
+        transient arrays take 9 B per span slot, so at most 9 ×
+        `_DENSE_SPAN` B per posting the runs hold.  ``stats``, when given,
+        counts this regime under ``dense_sums``;
+      * sort — otherwise (sparse unions, hash-assigned ids): a stable
+        argsort — timsort merges the pre-sorted runs, and equal ids keep
+        their run order — and ``np.bincount`` over the groups, which adds
+        each doc's contributions one by one in that order.
+    Both start each doc's sum from 0.0 and add its contributions in run
+    order, so their sums are bit-identical: float-order parity with the
+    spec scorer (tree.rs:418/445-449), for any uint64 ids."""
     if len(doc_runs) == 1:
         return doc_runs[0], contrib_runs[0]
+    if ends is None:
+        ends = [(d.item(0), d.item(-1), len(d)) for d in doc_runs if len(d)]
+    n, lo, hi = 0, 1 << 64, 0
+    for a, b, m in ends:
+        n += m
+        if a < lo:
+            lo = a
+        if b > hi:
+            hi = b
+    if n and hi - lo < _DENSE_SPAN * n:  # span = hi - lo + 1 <= C·n
+        base = np.uint64(lo)
+        acc = np.zeros(hi - lo + 1)
+        member = np.zeros(hi - lo + 1, dtype=bool)
+        for docs, contrib in zip(doc_runs, contrib_runs):
+            off = (docs - base).view(np.int64)  # < span: exact, and indexes faster
+            acc[off] += contrib  # a run's ids are unique: one add per slot
+            member[off] = True
+        pos = np.flatnonzero(member)
+        if stats is not None:
+            stats["dense_sums"] += 1
+        return pos.astype(np.uint64) + base, acc[pos]
     docs = np.concatenate(doc_runs)
     order = np.argsort(docs, kind="stable")
     docs = docs[order]
@@ -249,11 +292,26 @@ class IndexSearcher:
         entry = load()
         if entry is not None and entry.nbytes <= self._cache_budget:
             self._cache[key] = entry
-            self._cache_bytes += entry.nbytes
-            while self._cache_bytes > self._cache_budget:
-                _, old = self._cache.popitem(last=False)
-                self._cache_bytes -= old.nbytes
+            self._charge(entry.nbytes)
         return entry
+
+    def _charge(self, nbytes: int):
+        """Add ``nbytes`` to the cached total, then evict from the LRU end
+        while it is over budget."""
+        self._cache_bytes += nbytes
+        while self._cache_bytes > self._cache_budget:
+            _, old = self._cache.popitem(last=False)
+            self._cache_bytes -= old.nbytes
+
+    def _set_top(self, tb: _TermBlocks, top: tuple[int, np.ndarray] | None):
+        """Replace ``tb.top`` and move ``tb``'s charge by the positions'
+        bytes, and the cached total too if ``tb`` is cached (which may
+        evict it, once it alone exceeds the budget)."""
+        delta = (0 if top is None else top[1].nbytes) - (0 if tb.top is None else tb.top[1].nbytes)
+        tb.top = top
+        tb.nbytes += delta
+        if self._cache.get(("term", tb.term)) is tb:
+            self._charge(delta)
 
     def _part(self, part_id: int) -> _PartBlocks:
         return self._cached(
@@ -360,8 +418,17 @@ class IndexSearcher:
             tb.contrib.flags.writeable = False
             tb.contrib_max = float(tb.contrib.max())
             tb.bound = self._contrib(scorer, w, tb.max_tf, tb.min_dl)
-            tb.top, tb.contrib_key = None, key
+            tb.contrib_key = key
+            if tb.top is not None:
+                self._set_top(tb, None)
         return tb.contrib
+
+    def _term_top(self, tb: _TermBlocks, k: int) -> np.ndarray:
+        """`_top_positions` of ``tb``'s cached contributions, cached with them."""
+        if tb.top is None or tb.top[0] != k:
+            # a copy: the k-slice would keep every tie of the k-th score alive
+            self._set_top(tb, (k, _top_positions(tb.decoded[0], tb.contrib, k).copy()))
+        return tb.top[1]
 
     # ---- public API ----
 
@@ -406,6 +473,7 @@ class IndexSearcher:
         docs, scores = _sum_runs(
             [tb.decode_all()[0] for _, _, tb in terms],
             [self._term_contrib(scorer, w, tb) for _, w, tb in terms],
+            [tb.ends for _, _, tb in terms],
         )
         return _top_k(docs, scores, k)
 
@@ -416,7 +484,7 @@ class IndexSearcher:
         Contributions are >= 0, so a doc's partial score over some of its
         terms is at most its full score, which is at most the partial score
         plus the other terms' bounds.  One term's top k is its cached best
-        positions (`_TermBlocks.top_positions`).  Otherwise θ, the smallest
+        positions (`_term_top`).  Otherwise θ, the smallest
         full score among those positions of the highest-bound term, is met
         by k distinct docs, so no doc scoring below θ reaches the top k.  The
         terms of the longest ascending-bound prefix whose bounds sum below θ
@@ -435,18 +503,21 @@ class IndexSearcher:
           blocks_decoded — the essential terms' blocks plus the
             non-essential blocks covering a survivor;
           payload_decodes — blocks the codec decoded during this search (a
-            term's first touch decodes its whole list)."""
+            term's first touch decodes its whole list);
+          dense_sums — this search's `_sum_runs` merges of several runs
+            that took the dense array, not the sort."""
         nblocks = [len(tb.n) for _, _, tb in terms]
         stats = self.last_wand_stats = {
             "windows": len(terms), "windows_skipped": 0,
             "blocks_decoded": sum(nblocks), "blocks_total": sum(nblocks),
             "payload_decodes": sum(nb for nb, (*_, tb) in zip(nblocks, terms) if tb.decoded is None),
+            "dense_sums": 0,
         }
         docs = [tb.decode_all()[0] for _, _, tb in terms]
         contribs = [self._term_contrib(scorer, w, tb) for _, w, tb in terms]
         bounds = [tb.contrib_max for _, _, tb in terms]
         top = bounds.index(max(bounds))
-        seeds = terms[top][2].top_positions(k)
+        seeds = self._term_top(terms[top][2], k)
         if len(terms) == 1:
             return list(zip(docs[0][seeds].tolist(), contribs[0][seeds].tolist()))
         theta = -math.inf  # the top term holds fewer than k scoring postings
@@ -458,9 +529,10 @@ class IndexSearcher:
         order = sorted(range(len(terms)), key=bounds.__getitem__)
         n_non = bisect_left(list(accumulate(bounds[i] for i in order)), cut)
         if n_non == 0:
-            return _top_k(*_sum_runs(docs, contribs), k)
+            return _top_k(*_sum_runs(docs, contribs, [tb.ends for _, _, tb in terms], stats), k)
         ess = sorted(order[n_non:])
-        cand, bound = _sum_runs([docs[i] for i in ess], [contribs[i] for i in ess])
+        cand, bound = _sum_runs([docs[i] for i in ess], [contribs[i] for i in ess],
+                                [terms[i][2].ends for i in ess], stats)
         covering = []
         for i in order[:n_non]:
             tb = terms[i][2]

@@ -201,6 +201,61 @@ def test_cached_contributions_follow_scoring_inputs(built):
         assert any(kind == "part" for kind, _ in seen) == (budget != small), budget
 
 
+@pytest.mark.parametrize("scorer", ["tfidf", "bm25"])
+def test_dense_sums_follow_the_id_span(built, scorer):
+    """The two hottest terms (df about N) and a needle: the top term holds
+    fewer than k postings, so nothing is pruned and the kernel sums the
+    whole union.  Over dense ids (0..N-1) its span is at most
+    `_DENSE_SPAN` times its postings and it takes the dense array; over
+    url-hash ids spread across uint64 it takes the sort.  Both regimes
+    equal the exhaustive kernel and the brute-force scorer."""
+    index_dir, manifest, corpus = built
+    vocab = make_vocab()
+    q = f"{vocab[0]} {vocab[1]} needle17"
+    brute = brute_force_tfidf_topk if scorer == "tfidf" else brute_force_bm25_topk
+    s = IndexSearcher(index_dir)
+    for t in tokenize(q):  # the gate reads each term's cached ends
+        ids = s.term_postings(t)[0]
+        assert s._load_term_blocks(t).ends == (ids.item(0), ids.item(-1), len(ids))
+    for k in (3, 10):
+        got = s.search(q, k=k, scorer=scorer, algorithm="wand")
+        assert s.last_wand_stats["windows_skipped"] == 0
+        assert s.last_wand_stats["dense_sums"] == (manifest.config["id_assign"] == "dense")
+        assert got == s.search(q, k=k, scorer=scorer, algorithm="exhaustive")
+        expected = brute(corpus, tokenize(q), k=k)
+        assert [d for d, _ in got] == [d for d, _ in expected]
+        assert [x for _, x in got] == pytest.approx([x for _, x in expected], rel=1e-12)
+
+
+def test_cached_positions_charged_per_position(built):
+    """A term's cache charge counts 32 B per posting and 8 B per cached
+    top position: a long term searched at k=1 adds 8 bytes, not 8 per
+    posting, and another k or scorer re-charges it and the searcher's
+    total.  The positions own their bytes: a k-slice of `_top_positions`
+    would keep every tie of the k-th score alive behind 8 × k."""
+    index_dir, manifest, _ = built
+    term = tokenize(make_vocab()[0])[0]
+    s = IndexSearcher(index_dir)
+    tb = s._load_term_blocks(term)
+    base = sum(map(len, tb.payloads)) + 48 * len(tb.n) + 32 * tb.df
+    assert tb.df == manifest.n_docs and tb.nbytes == base
+    for k, scorer, n_top in ((1, "bm25", 1), (10, "bm25", 10), (1, "bm25", 1), (3, "tfidf", 0)):
+        # tf-idf gives the hot term (df = N) zero idf: no scoring postings
+        s.search(term, k=k, scorer=scorer, algorithm="wand")
+        assert s._cache[("term", term)] is tb
+        assert tb.nbytes == base + 8 * n_top, (k, scorer)
+        assert tb.top[1].base is None
+        assert s._cache_bytes == sum(e.nbytes for e in s._cache.values())
+    # a budget that the term and its partitions fill exactly: caching one
+    # position goes over it and evicts the least recently used entry
+    full = IndexSearcher(index_dir)
+    full._load_term_blocks(term)
+    s = IndexSearcher(index_dir, blocks_cache_bytes=full._cache_bytes)
+    s.search(term, k=1, scorer="bm25", algorithm="wand")
+    assert list(s._cache) == list(full._cache)[1:]
+    assert s._cache_bytes == sum(e.nbytes for e in s._cache.values()) <= full._cache_bytes
+
+
 def test_url_resolution(built):
     index_dir, _, corpus = built
     s = IndexSearcher(index_dir)
