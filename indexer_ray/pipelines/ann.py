@@ -4,7 +4,7 @@
   * ann_brute_topk — exact cosine top-k baseline: the query matrix is
     broadcast once (ray.put) and every batch does one numpy matmul; each
     batch emits only its LOCAL top-k per query (partial top-k combiner),
-    and the final merge is a DISTRIBUTED groupby(query_id).map_groups —
+    and the final merge is a DISTRIBUTED per-query_id `top_k_rows` —
     the driver sees only the nq*k result rows, never the partial set.
   * ann_lsh_topk   — scale path A: random-hyperplane bucketing restricts
     scoring to vectors sharing (or neighboring, via multi-probe on 1-bit
@@ -29,6 +29,8 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from indexer_ray.stages.shuffle import top_k_rows
 
 
 def _normalize(X: np.ndarray) -> np.ndarray:
@@ -132,31 +134,18 @@ _EMPTY_TOPK = {
 
 
 def _final_topk_ds(partials_ds, k: int) -> pd.DataFrame:
-    """DISTRIBUTED final merge of per-batch local top-k partials: group by
-    query_id and reduce to the global top-k INSIDE map_groups, so the
-    driver only ever sees the nq*k final rows.  The partial set is
-    nq*k*n_blocks rows — collecting it driver-side (the round-1..3
-    `_final_topk(partials.to_pandas())`) grows linearly with corpus block
-    count and breaks at 10^6+ blocks.  Same pattern as the dictionary
-    suggest merge (query.py prefix_suggest).
+    """DISTRIBUTED final merge of per-batch local top-k partials:
+    `top_k_rows` grouped by query_id reduces to the global top-k inside
+    map_groups, so the driver only ever sees the nq*k final rows.  The
+    partial set is nq*k*n_blocks rows — collecting it driver-side would
+    grow linearly with corpus block count and break at 10^6+ blocks.
 
-    Tie semantics unchanged: (cosine desc, vec_id asc), rank dense from 0
-    per query."""
-
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            g.sort_values(["cosine", "vec_id"], ascending=[False, True])
-            .head(k)
-            .reset_index(drop=True)
-        )
-        g["rank"] = np.arange(len(g), dtype=np.int64)
-        return g
-
-    out = (
-        partials_ds.groupby("query_id")
-        .map_groups(_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    Tie semantics: (cosine desc, vec_id asc), rank dense from 0 per
+    query."""
+    out = top_k_rows(
+        partials_ds, k, ["cosine", "vec_id"], [False, True], list(_EMPTY_TOPK),
+        group="query_id",
+    ).to_pandas()
     if out.empty:
         return pd.DataFrame(
             {c: pd.Series([], dtype=t) for c, t in _EMPTY_TOPK.items()}

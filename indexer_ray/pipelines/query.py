@@ -766,16 +766,16 @@ def prefix_suggest(index_dir: str, prefix: str, k: int = 10):
     slices of each partition's dictionary are read.  Salted hot terms
     appear in several partitions with doc-disjoint postings, so per-
     partition dfs SUM to the global df; the groupby moves only the
-    prefix-filtered terms, and the final top-k is a per-batch partial
-    cut + single merge (same shape as text_analysis.top_docs_by_length).
+    prefix-filtered terms, and the final top-k is `top_k_rows`' per-batch
+    cut + single merge.
 
     Output: (rank, term, df)."""
     import glob as _glob
 
-    import pandas as pd
-    import pyarrow.compute as pc
     import ray.data as rd
     from ray.data.aggregate import Sum
+
+    from indexer_ray.stages.shuffle import top_k_rows
 
     if not prefix:
         raise ValueError("prefix must be non-empty")
@@ -784,31 +784,7 @@ def prefix_suggest(index_dir: str, prefix: str, k: int = 10):
     expr = (pads.field("term") >= prefix) & (pads.field("term") < hi)
     ds = rd.read_parquet(paths, columns=["term", "df"], filter=expr)
     agg = ds.groupby("term").aggregate(Sum("df", alias_name="df"))
-
-    def _local_topk(batch: pa.Table) -> pa.Table:
-        terms = np.asarray(batch.column("term").to_pylist(), dtype=object)
-        dfs = batch.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
-        # global order is (df desc, term asc); lexsort keys are last-primary
-        keep = np.lexsort((terms, -dfs))[: min(k, len(terms))]
-        return pa.table(
-            {
-                "g": pa.array(np.zeros(len(keep), dtype=np.int32)),
-                "term": pa.array(terms[keep], type=pa.string()),
-                "df": pa.array(dfs[keep], type=pa.int64()),
-            }
-        )
-
-    def _merge(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g.sort_values(["df", "term"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["rank", "term", "df"]]
-
-    return (
-        agg.map_batches(_local_topk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return top_k_rows(agg, k, ["df", "term"], [False, True], ["rank", "term", "df"])
 
 
 def _hot_global_counts(index_dir: str, hot_terms, col: str) -> dict[str, int]:
@@ -1211,12 +1187,14 @@ def proximity_topk(searcher: "IndexSearcher", docs_ds, query: str, k: int = 10):
     posting-list AND prunes the corpus to candidate docs and the sorted
     candidate-id array broadcasts once; survivors tokenize and run one
     linear two-pointer minimal-window pass over their query-term
-    positions only; each batch emits a local top-k and one constant-key
-    merge yields the global ranking.  Integer windows keep the output
-    hash-checkable.
+    positions only; `top_k_rows` cuts each batch's windows to a local
+    top-k and one merge yields the global ranking.  Integer windows keep
+    the output hash-checkable.
 
     Output: (doc_id, window_len, rank), rank 0-based."""
     import ray
+
+    from indexer_ray.stages.shuffle import top_k_rows
 
     if searcher.mode != "plain":
         raise ValueError("proximity_topk requires a plain-mode index")
@@ -1247,9 +1225,7 @@ def proximity_topk(searcher: "IndexSearcher", docs_ds, query: str, k: int = 10):
                 left += 1
         return best
 
-    def _score(batch: pa.Table):
-        import pandas as pd
-
+    def _windows(batch: pa.Table) -> pa.Table:
         ids = ray.get(ids_ref)
         d = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         t = batch.filter(pa.array(_member_mask(ids, d)))
@@ -1260,32 +1236,18 @@ def proximity_topk(searcher: "IndexSearcher", docs_ds, query: str, k: int = 10):
             w = _min_window(tokenize_plain(text or ""))
             if w > 0:
                 rows.append((int(doc_id), w))
-        rows.sort(key=lambda r: (r[1], r[0]))
-        out = pd.DataFrame(
-            rows[:k], columns=["doc_id", "window_len"]
-        ).astype({"doc_id": "int64", "window_len": "int64"})
-        out["g"] = np.int32(0)
-        return out
-
-    def _merge(g):
-        import pandas as pd
-
-        g = (
-            g.sort_values(["window_len", "doc_id"])
-            .head(k)
-            .reset_index(drop=True)
-        )
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["doc_id", "window_len", "rank"]].astype(
-            {"doc_id": "int64", "window_len": "int64"}
+        return pa.table(
+            {
+                "doc_id": pa.array([r[0] for r in rows], type=pa.int64()),
+                "window_len": pa.array([r[1] for r in rows], type=pa.int64()),
+            }
         )
 
-    return (
-        docs_ds.select_columns(["doc_id", "text"])
-        .map_batches(_score, batch_format="pyarrow", zero_copy_batch=True,
-                     batch_size=8192)
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
+    windows = docs_ds.select_columns(["doc_id", "text"]).map_batches(
+        _windows, batch_format="pyarrow", zero_copy_batch=True, batch_size=8192
+    )
+    return top_k_rows(
+        windows, k, ["window_len", "doc_id"], [True, True], ["doc_id", "window_len", "rank"]
     )
 
 
@@ -1437,14 +1399,16 @@ def fuzzy_suggest(index_dir: str, term: str, k: int = 10, max_dist: int = 1):
     row-group stats turn that bound into pruned bytes.  Older indexes
     without the sidecar fall back to the full dict scan.  The
     per-candidate DP runs only on surviving terms; salted per-partition
-    dfs Sum to global df; final top-k is a partial cut + single merge.
+    dfs Sum to global df; final top-k is `top_k_rows`' partial cut +
+    single merge.
 
     Output: (rank, term, dist, df)."""
     import glob as _glob
 
-    import pandas as pd
     import ray.data as rd
     from ray.data.aggregate import Sum
+
+    from indexer_ray.stages.shuffle import top_k_rows
 
     if not term:
         raise ValueError("term must be non-empty")
@@ -1477,7 +1441,6 @@ def fuzzy_suggest(index_dir: str, term: str, k: int = 10, max_dist: int = 1):
         return pa.table(
             {
                 "term": pa.array(np.asarray(terms, dtype=object)[ok], type=pa.string()),
-                "dist": pa.array(dists[ok], type=pa.int64()),
                 "df": t.column("df").to_numpy(zero_copy_only=False)[ok].astype("int64"),
             }
         )
@@ -1490,34 +1453,17 @@ def fuzzy_suggest(index_dir: str, term: str, k: int = 10, max_dist: int = 1):
 
     # dist is a property of the TERM (salted copies agree), recomputed on
     # the few surviving candidates rather than carried through the groupby
-    def _local_topk(batch: pa.Table) -> pa.Table:
-        terms = np.asarray(batch.column("term").to_pylist(), dtype=object)
-        dfs = batch.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
+    def _with_dist(batch: pa.Table) -> pa.Table:
         dists = np.fromiter(
-            (_levenshtein_within(term, c, max_dist) for c in terms),
+            (_levenshtein_within(term, c, max_dist) for c in batch.column("term").to_pylist()),
             dtype=np.int64,
-            count=len(terms),
+            count=batch.num_rows,
         )
-        keep = np.lexsort((terms, -dfs, dists))[: min(k, len(terms))]
-        return pa.table(
-            {
-                "g": pa.array(np.zeros(len(keep), dtype=np.int32)),
-                "term": pa.array(terms[keep], type=pa.string()),
-                "dist": pa.array(dists[keep], type=pa.int64()),
-                "df": pa.array(dfs[keep], type=pa.int64()),
-            }
-        )
+        return batch.append_column("dist", pa.array(dists, type=pa.int64()))
 
-    def _merge(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g.sort_values(["dist", "df", "term"], ascending=[True, False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["rank", "term", "dist", "df"]]
-
-    return (
-        agg.map_batches(_local_topk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
+    return top_k_rows(
+        agg.map_batches(_with_dist, batch_format="pyarrow", zero_copy_batch=True),
+        k, ["dist", "df", "term"], [True, False, True], ["rank", "term", "dist", "df"],
     )
 
 
@@ -1530,10 +1476,11 @@ def related_terms(searcher: IndexSearcher, docs_ds, term: str, k: int = 10):
     filter, and term_stats' partial-aggregation counts survivors.
 
     Output: (rank, term, df) — df counted within the match set."""
-    import pandas as pd
+    import pyarrow.compute as pc
     import ray
 
     from indexer_ray.pipelines.text_analysis import term_stats
+    from indexer_ray.stages.shuffle import top_k_rows
 
     mode = searcher.mode
     if mode != "plain":
@@ -1552,30 +1499,12 @@ def related_terms(searcher: IndexSearcher, docs_ds, term: str, k: int = 10):
     )
     stats = term_stats(matched, mode="plain")
 
-    def _local_topk(batch: pa.Table) -> pa.Table:
-        terms = np.asarray(batch.column("term").to_pylist(), dtype=object)
-        dfs = batch.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
-        ok = terms != term
-        terms, dfs = terms[ok], dfs[ok]
-        keep = np.lexsort((terms, -dfs))[: min(k, len(terms))]
-        return pa.table(
-            {
-                "g": pa.array(np.zeros(len(keep), dtype=np.int32)),
-                "term": pa.array(terms[keep], type=pa.string()),
-                "df": pa.array(dfs[keep], type=pa.int64()),
-            }
-        )
+    def _drop_term(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.not_equal(batch.column("term"), term))
 
-    def _merge(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g.sort_values(["df", "term"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["rank", "term", "df"]]
-
-    return (
-        stats.map_batches(_local_topk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
+    return top_k_rows(
+        stats.map_batches(_drop_term, batch_format="pyarrow", zero_copy_batch=True),
+        k, ["df", "term"], [False, True], ["rank", "term", "df"],
     )
 
 

@@ -21,7 +21,7 @@ import pyarrow as pa
 
 from indexer_ray.conformance.lexer import tokenize, tokenize_plain
 from indexer_ray.conformance.stopwords import STOP_WORDS
-from indexer_ray.stages.shuffle import routed_reduce
+from indexer_ray.stages.shuffle import routed_reduce, top_k_rows
 
 # ---------------------------------------------------------------- token stats
 
@@ -464,10 +464,8 @@ def lang_source_stats(ds):
 def top_terms_per_group(ds, group_col: str = "lang", k: int = 10, mode: str = "plain"):
     """Most frequent terms per group, deterministic (count desc, term asc)
     ranking: per-batch partial (group, term, cnt) counts -> groupby-sum
-    (the shuffle moves per-batch distinct pairs, not tokens) -> tiny
-    per-group top-k.  Output: (group_col, term, cnt, rank), rank < k."""
-    from ray.data.aggregate import Sum
-
+    (the shuffle moves per-batch distinct pairs, not tokens) -> per-group
+    `top_k_rows`.  Output: (group_col, term, cnt, rank), rank < k."""
     tok = tokenize_plain if mode == "plain" else tokenize
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -492,13 +490,10 @@ def top_terms_per_group(ds, group_col: str = "lang", k: int = 10, mode: str = "p
         (group_col, "term"),
     )
 
-    def _topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cnt", "term"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[[group_col, "term", "cnt", "rank"]]
-
-    return agg.groupby(group_col).map_groups(_topk, batch_format="pandas")
+    return top_k_rows(
+        agg, k, ["cnt", "term"], [False, True], [group_col, "term", "cnt", "rank"],
+        group=group_col,
+    )
 
 
 # ------------------------------------------------------- quality filtering
@@ -538,52 +533,28 @@ def quality_filter(
 
 
 def top_docs_by_length(ds, n: int = 100):
-    """Global top-N docs by text length WITHOUT a global sort: each batch
-    emits its local top-N (one vectorized length + lexsort cut), a single merge
-    takes the top-N of the <= N-per-batch survivors.  At 100 TB a full
-    `ds.sort` is an all-to-all shuffle of every row; this moves at most
-    N rows per batch.  Deterministic tie-break (n_chars desc, doc_id asc);
-    the local cut is one vectorized utf8_length + lexsort, no per-row
-    Python strings.  Output: (doc_id, n_chars, rank)."""
+    """Global top-N docs by text length WITHOUT a global sort: one
+    vectorized utf8_length per batch (null text counts 0 chars, no
+    per-row Python strings), then `top_k_rows`: each batch keeps its
+    local top-N, a single merge takes the top-N of the <= N-per-batch
+    survivors.  At 100 TB a full `ds.sort` is an all-to-all shuffle of
+    every row; this moves at most N rows per batch.  Deterministic
+    tie-break (n_chars desc, doc_id asc).  Output: (doc_id, n_chars, rank)."""
     import pyarrow.compute as pc
 
-    def _local_topn(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        lens = (
-            pc.fill_null(pc.utf8_length(batch.column("text")), 0)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        k = min(n, len(ids))
-        # tie-break-aware local cut: the survivors must be exactly the
-        # batch's top-k under the GLOBAL order (n_chars desc, doc_id asc),
-        # or a boundary tie with a smaller doc_id could be dropped locally
-        # yet win globally
-        keep = np.lexsort((ids, -lens))[:k]
+    def _lengths(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "doc_id": pa.array(ids[keep].astype("int64"), type=pa.int64()),
-                "n_chars": pa.array(lens[keep], type=pa.int64()),
+                "doc_id": pc.cast(batch.column("doc_id"), pa.int64(), safe=False),
+                "n_chars": pc.cast(
+                    pc.fill_null(pc.utf8_length(batch.column("text")), 0), pa.int64()
+                ),
             }
         )
 
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n_chars", "doc_id"], ascending=[False, True]).head(n)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["doc_id", "n_chars", "rank"]]
-
-    # route every partial row to one merge group (survivors are <= N per
-    # batch — driver-small by construction)
-    return (
-        ds.map_batches(_local_topn, batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=4096)
-        .map_batches(
-            lambda b: b.append_column("g", pa.array(np.zeros(b.num_rows, dtype=np.int32))),
-            batch_format="pyarrow",
-        )
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
+    lengths = ds.map_batches(_lengths, batch_format="pyarrow", zero_copy_batch=True)
+    return top_k_rows(
+        lengths, n, ["n_chars", "doc_id"], [False, True], ["doc_id", "n_chars", "rank"]
     )
 
 
@@ -649,13 +620,11 @@ class _PartialBigrams:
 def bigram_counts(ds, k: int = 100):
     """Corpus-wide top-k adjacent-token bigrams (plain tokenization) — the
     n-gram LM / collocation-stats building block.  Shape: per-batch partial
-    Counter -> groupby-sum over (w1, w2) -> distributed top-k WITHOUT a
-    global sort (each partial batch emits its local top-k under the global
-    order, one merge cuts the <=k-per-batch survivors).
+    Counter -> groupby-sum over (w1, w2) -> `top_k_rows`, a distributed
+    top-k WITHOUT a global sort (each batch keeps its local top-k under the
+    global order, one merge cuts the <=k-per-batch survivors).
 
     Output: (w1, w2, cnt, rank), rank 0-based by (cnt desc, w1 asc, w2 asc)."""
-    from ray.data.aggregate import Sum
-
     summed = _routed_cnt_sum(
         ds.map_batches(
             _PartialBigrams,
@@ -667,21 +636,8 @@ def bigram_counts(ds, k: int = 100):
         ("w1", "w2"),
     )
 
-    def _local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["cnt", "w1", "w2"], ascending=[False, True, True]).head(k)
-        b["g"] = np.int32(0)
-        return b
-
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cnt", "w1", "w2"], ascending=[False, True, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["w1", "w2", "cnt", "rank"]]
-
-    return (
-        summed.map_batches(_local_topk, batch_format="pandas", batch_size=8192)
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
+    return top_k_rows(
+        summed, k, ["cnt", "w1", "w2"], [False, True, True], ["w1", "w2", "cnt", "rank"]
     )
 
 
@@ -718,12 +674,10 @@ def skipgram_counts(ds, window: int = 3, k: int = 100):
     Shape: per-batch partial counts (one vectorized Arrow flatten, then
     2·window shifted-pair frames through ONE pandas value_counts — no
     per-document loop), groupby-sum over (center, context), distributed
-    top-k via local-topk + constant-key merge (never a global sort).
+    top-k via `top_k_rows` (never a global sort).
 
     Output: (center, context, cnt, rank), rank by (cnt desc, center,
     context)."""
-    from ray.data.aggregate import Sum
-
     if window < 1:
         raise ValueError("window must be >= 1")
 
@@ -767,25 +721,9 @@ def skipgram_counts(ds, window: int = 3, k: int = 100):
         ("center", "context"),
     )
 
-    def _local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(
-            ["cnt", "center", "context"], ascending=[False, True, True]
-        ).head(k)
-        b["g"] = np.int32(0)
-        return b
-
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["cnt", "center", "context"], ascending=[False, True, True]
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["center", "context", "cnt", "rank"]]
-
-    return (
-        summed.map_batches(_local_topk, batch_format="pandas", batch_size=8192)
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
+    return top_k_rows(
+        summed, k, ["cnt", "center", "context"], [False, True, True],
+        ["center", "context", "cnt", "rank"],
     )
 
 
@@ -827,12 +765,11 @@ def pmi_collocations(ds, k: int = 100, min_count: int = 5, n_parts: int = 32):
         doc_bigram_nll two-routing pattern): unigram rows travel WITH the
         bigram rows to the partition that owns their term, so each group
         resolves its counts locally;
-      * top-k is local-topk + constant-key merge, never a global sort.
+      * top-k is `top_k_rows` (local cut + one merge), never a global sort.
     Bigram rows below `min_count` drop before the routing shuffles.
 
     Output: (w1, w2, cnt, pmi_q, rank), rank by (pmi_q desc, w1, w2)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def _tagged_partials(batch: pa.Table) -> pa.Table:
         # one vectorized Arrow flatten for the whole batch, then integer
@@ -939,21 +876,9 @@ def pmi_collocations(ds, k: int = 100, min_count: int = 5, n_parts: int = 32):
     )
     scored = routed_reduce(with_c1, ["term"], n_parts, _score)
 
-    def _local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["pmi_q", "w1", "w2"], ascending=[False, True, True]).head(k)
-        b["g"] = np.int32(0)
-        return b
-
-    def _merge_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["pmi_q", "w1", "w2"], ascending=[False, True, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["w1", "w2", "cnt", "pmi_q", "rank"]]
-
-    return (
-        scored.map_batches(_local_topk, batch_format="pandas", batch_size=8192)
-        .groupby("g")
-        .map_groups(_merge_topk, batch_format="pandas")
+    return top_k_rows(
+        scored, k, ["pmi_q", "w1", "w2"], [False, True, True],
+        ["w1", "w2", "cnt", "pmi_q", "rank"],
     )
 
 
@@ -1796,31 +1721,18 @@ def build_vocab(ds, size: int, min_df: int = 1, mode: str = "plain"):
     word-level tokenizer trains from (the published word-vocab recipe;
     BPE replaces the cut with merges but consumes the same counts).
 
-    Shape: term_stats' partial-aggregate rollup, then distributed top-k
-    WITHOUT a global sort (per-batch local top-`size` under the global
-    order, one constant-key merge — bigram_counts' pattern).
+    Shape: term_stats' partial-aggregate rollup, the df >= min_df filter,
+    then `top_k_rows` (per-batch local top-`size` under the global order,
+    one merge) — never a global sort.
     Output: (term, df, cf, rank)."""
-
     stats = term_stats(ds, mode=mode)
 
-    def _local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["df"] >= min_df]
-        b = b.sort_values(["cf", "term"], ascending=[False, True]).head(size)
-        b["g"] = np.int32(0)
-        return b
+    def _min_df(b: pd.DataFrame) -> pd.DataFrame:
+        return b[b["df"] >= min_df]
 
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cf", "term"], ascending=[False, True]).head(size)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["term", "df", "cf", "rank"]].astype(
-            {"df": "int64", "cf": "int64"}
-        )
-
-    return (
-        stats.map_batches(_local_topk, batch_format="pandas", batch_size=8192)
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
+    return top_k_rows(
+        stats.map_batches(_min_df, batch_format="pandas"),
+        size, ["cf", "term"], [False, True], ["term", "df", "cf", "rank"],
     )
 
 
@@ -1943,11 +1855,8 @@ def ngram_counts(ds, n: int = 3, k: int = 100, mode: str = "plain"):
     one space-joined string column so the shuffle key stays single.
 
     Shape identical to bigram_counts: per-batch partial Counter ->
-    groupby-sum over the ngram string -> per-batch local top-k under the
-    global (cnt desc, ngram asc) order -> one constant-key merge; no
-    global sort.  Output: (ngram, cnt, rank)."""
-    from ray.data.aggregate import Sum
-
+    groupby-sum over the ngram string -> `top_k_rows` under the global
+    (cnt desc, ngram asc) order; no global sort.  Output: (ngram, cnt, rank)."""
     tok = tokenize_plain if mode == "plain" else tokenize
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -1974,22 +1883,7 @@ def ngram_counts(ds, n: int = 3, k: int = 100, mode: str = "plain"):
     )
     summed = _routed_cnt_sum(summed, ("ngram",))
 
-    def _local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["cnt", "ngram"], ascending=[False, True]).head(k)
-        b["g"] = np.int32(0)
-        return b
-
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cnt", "ngram"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(len(g), dtype="int64")
-        return g[["ngram", "cnt", "rank"]].astype({"cnt": "int64"})
-
-    return (
-        summed.map_batches(_local_topk, batch_format="pandas", batch_size=8192)
-        .groupby("g")
-        .map_groups(_merge, batch_format="pandas")
-    )
+    return top_k_rows(summed, k, ["cnt", "ngram"], [False, True], ["ngram", "cnt", "rank"])
 
 
 def c4_line_filter(

@@ -31,6 +31,17 @@ task once via ``ray.put`` and each big batch runs one vectorized kernel;
 above it both sides hash-join (``Dataset.join`` over ``join_parts()``
 partitions).  Both regimes return the same rows in the same columns, so
 callers never see which one ran.
+
+And it owns the engine's one distributed top-k, ``top_k_rows``: the k
+first rows under a sort order, overall or per group, WITHOUT a global
+sort.  Each batch of ``_TOPK_BATCH`` rows keeps only its own first k,
+then one ``map_groups`` per group (a single constant-key group when no
+group is given) cuts the survivors and numbers them with a 0-based
+``rank``.  Cut and merge call the same sort-and-head function.  A local
+cut may drop rows safely only because the order is TOTAL: the sort keys
+must end in a column (or columns) unique within each group, so no two
+rows tie and the survivors of every batch are exactly the rows the
+global order would keep.
 """
 
 from __future__ import annotations
@@ -49,6 +60,10 @@ _PART = "__route_part"
 SEMI, ANTI, INNER = "left_semi", "left_anti", "inner"
 _JOIN_TYPES = (SEMI, ANTI, INNER)
 _MIX = np.uint64(0x100000001B3)
+#: rows per batch of ``top_k_rows``' local cut
+_TOPK_BATCH = 8192
+#: ``top_k_rows``' merge group: (group key is null, key with nulls filled)
+_TOPK_GROUP = ("__topk_null", "__topk_key")
 
 
 def _column_hash(col: pa.ChunkedArray) -> np.ndarray:
@@ -284,3 +299,56 @@ def regime_join(big, small, key: str, how: str, threshold: int):
             _as_unsigned, **kw
         )
     return big.join(small, how, join_parts(), on=(key,))
+
+
+def _first_k(df: pd.DataFrame, k: int, by: list, ascending: list) -> pd.DataFrame:
+    """The first ``k`` rows of each merge group of ``df`` under the order
+    ``by``/``ascending``, in that order."""
+    df = df.sort_values(by, ascending=ascending)
+    return df.groupby(list(_TOPK_GROUP), sort=False).head(k).reset_index(drop=True)
+
+
+def top_k_rows(
+    ds,
+    k: int,
+    by: Sequence[str],
+    ascending: Sequence[bool],
+    cols: Sequence[str],
+    group: str | None = None,
+):
+    """The ``k`` first rows of ``ds`` under the order ``by``/``ascending``
+    (pandas ``sort_values`` semantics, nulls last), per value of ``group``
+    when one is given (null included).  Each row gets a 0-based int64
+    ``rank`` within its group; the output holds the columns ``cols``
+    (which name ``rank``) in that order, groups by ascending key, the
+    null group last.
+
+    The order must be total within a group — ``by`` ends in a column (or
+    columns) unique there — or the per-batch cut could keep a different
+    set of tied rows than one global sort would.  Raises ``ValueError``
+    for a negative ``k`` when called, not when the Dataset runs."""
+    if k < 0:
+        raise ValueError(f"top_k_rows: k must be >= 0, got {k}")
+    by, ascending, cols = list(by), list(ascending), list(cols)
+
+    def _cut(b: pd.DataFrame) -> pa.Table:
+        # Ray's sort-based groupby cannot order a null key against a
+        # non-null one (Ray 2.49.2), so the merge groups by (is null,
+        # key with nulls filled): no null to compare, same group order
+        keys = b[group] if group else pd.Series(np.zeros(len(b), np.int32), index=b.index)
+        null = keys.isna()
+        b[_TOPK_GROUP[0]] = null.astype(np.int8)
+        b[_TOPK_GROUP[1]] = keys.where(~null, "" if keys.dtype == object else 0)
+        out = pa.Table.from_pandas(_first_k(b, k, by, ascending), preserve_index=False)
+        return out.replace_schema_metadata(None)  # as routed_reduce: Ray's schema dedup
+
+    def _merge(g: pd.DataFrame) -> pd.DataFrame:
+        g = _first_k(g, k, by, ascending)
+        g["rank"] = np.arange(len(g), dtype=np.int64)  # one group per call
+        return g[cols]
+
+    return (
+        ds.map_batches(_cut, batch_format="pandas", batch_size=_TOPK_BATCH)
+        .groupby(list(_TOPK_GROUP))
+        .map_groups(_merge, batch_format="pandas")
+    )

@@ -207,6 +207,18 @@ def test_prefix_suggest_empty_prefix_raises(ray_session, tiny_pages, tmp_path_fa
         prefix_suggest(idx, "", k=5)
 
 
+def test_prefix_suggest_rejects_negative_k(ray_session, tiny_pages, tmp_path_factory):
+    """k=-1 once kept every row but the last (pandas ``head(-1)``)."""
+    from indexer_ray.pipelines.build import BuildConfig, build_index
+    from indexer_ray.pipelines.query import prefix_suggest
+
+    idx = str(tmp_path_factory.mktemp("psk") / "index")
+    build_index([tiny_pages], idx, BuildConfig(mode="plain", n_partitions=2))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        prefix_suggest(idx, "b", k=-1)
+    assert prefix_suggest(idx, "b", k=0).count() == 0
+
+
 def test_levenshtein_matches_duckdb(ray_session):
     import duckdb
 

@@ -1,5 +1,5 @@
-"""Routed shuffle helper (stages/shuffle.py): routing hash, routed reduce
-and the broadcast-or-join key-set join."""
+"""Routed shuffle helper (stages/shuffle.py): routing hash, routed reduce,
+the broadcast-or-join key-set join and the distributed top-k."""
 
 import numpy as np
 import pandas as pd
@@ -7,7 +7,8 @@ import pyarrow as pa
 import pytest
 
 from indexer_ray.functions.hashing import key_partition
-from indexer_ray.stages.shuffle import regime_join, route_parts, routed_reduce
+from indexer_ray.stages import shuffle
+from indexer_ray.stages.shuffle import regime_join, route_parts, routed_reduce, top_k_rows
 
 
 def _str_keys():
@@ -240,3 +241,89 @@ def test_regime_join_rejects_other_join_types(ray_session):
     ds = rd.from_arrow(pa.table({"k": pa.array([1], type=pa.int64())}))
     with pytest.raises(ValueError, match="left_semi"):
         regime_join(ds, ds, "k", "left_outer", 10)
+
+
+# ------------------------------------------------------------- top_k_rows
+
+_TOPK_ROWS = 23
+
+
+def _topk_input() -> pa.Table:
+    """23 rows: ``score`` ties in long runs (4 distinct values), ``name``
+    unique and shuffled against ``score``, ``grp`` a/b/null."""
+    rng = np.random.default_rng(5)
+    names = [f"n{i:02d}" for i in rng.permutation(_TOPK_ROWS)]
+    grp = [("a", "b", None)[i % 3] for i in range(_TOPK_ROWS)]
+    return pa.table(
+        {
+            "score": pa.array(np.arange(_TOPK_ROWS) % 4, type=pa.int64()),
+            "name": pa.array(names, type=pa.string()),
+            "grp": pa.array(grp, type=pa.string()),
+        }
+    )
+
+
+def _topk_ds(t: pa.Table, monkeypatch):
+    """``t`` as 4 blocks, cut in batches of 4 rows: every score tie spans
+    several batches and blocks."""
+    import ray.data as rd
+
+    monkeypatch.setattr(shuffle, "_TOPK_BATCH", 4)
+    return rd.from_arrow([t.slice(0, 5), t.slice(5, 7), t.slice(12, 3), t.slice(15)])
+
+
+def _rows(df: pd.DataFrame, cols) -> list:
+    return [tuple(r) for r in df[cols].itertuples(index=False, name=None)]
+
+
+@pytest.mark.parametrize("k", [0, 1, _TOPK_ROWS - 1, _TOPK_ROWS, _TOPK_ROWS + 5])
+@pytest.mark.parametrize(
+    "by, ascending",
+    [(["score", "name"], [False, True]), (["name"], [True]), (["name"], [False])],
+)
+def test_top_k_rows_matches_full_sort(ray_session, monkeypatch, k, by, ascending):
+    t = _topk_input()
+    cols = ["rank", "name", "score"]
+    want = t.to_pandas().sort_values(by, ascending=ascending).head(k)
+    want["rank"] = np.arange(len(want), dtype=np.int64)
+    got = top_k_rows(_topk_ds(t, monkeypatch), k, by, ascending, cols).to_pandas()
+    if not k:  # no row, so no block to carry a schema
+        assert got.empty
+        return
+    assert list(got.columns) == cols
+    assert got["rank"].dtype == np.int64
+    assert _rows(got.sort_values("rank"), cols) == _rows(want, cols)
+
+
+@pytest.mark.parametrize("k", [1, 3, _TOPK_ROWS])
+def test_top_k_rows_per_group_keeps_null_group(ray_session, monkeypatch, k):
+    t = _topk_input()
+    cols = ["grp", "name", "score", "rank"]
+    want = []
+    for g in ("a", "b", None):
+        sub = t.to_pandas()
+        sub = sub[sub["grp"].isna()] if g is None else sub[sub["grp"] == g]
+        sub = sub.sort_values(["score", "name"], ascending=[False, True]).head(k)
+        want += [(g, n, s, r) for r, (n, s) in enumerate(zip(sub["name"], sub["score"]))]
+    got = top_k_rows(
+        _topk_ds(t, monkeypatch), k, ["score", "name"], [False, True], cols, group="grp"
+    ).to_pandas()
+    assert list(got.columns) == cols
+    # groups come out by ascending key, the null group last
+    assert [(None if g != g else g, n, s, r) for g, n, s, r in _rows(got, cols)] == want
+
+
+def test_top_k_rows_empty_input_has_no_rows(ray_session, monkeypatch):
+    t = _topk_input()
+    for ds in (_topk_ds(t.slice(0, 0), monkeypatch),
+               _topk_ds(t, monkeypatch).filter(lambda r: False)):
+        out = top_k_rows(ds, 5, ["score", "name"], [False, True], ["name", "rank"])
+        assert out.count() == 0
+
+
+def test_top_k_rows_rejects_negative_k_when_called(ray_session):
+    import ray.data as rd
+
+    ds = rd.from_arrow(_topk_input())
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        top_k_rows(ds, -1, ["score", "name"], [False, True], ["name", "rank"])

@@ -289,6 +289,43 @@ def test_bigram_counts_topk_equals_global_sort(ray_session):
     assert [((r.w1, r.w2), r.cnt) for r in out.itertuples()] == want
 
 
+def test_bigram_counts_rejects_negative_k(ray_session):
+    """k=-1 once kept every row but the last (pandas ``head(-1)``)."""
+    import ray.data as rd
+
+    from indexer_ray.pipelines.text_analysis import bigram_counts
+
+    ds = rd.from_pandas(pd.DataFrame({"doc_id": [0], "text": ["a b c"]}))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        bigram_counts(ds, k=-1)
+    assert bigram_counts(ds, k=0).count() == 0
+
+
+# ------------------------------------------------------ top_docs_by_length
+@pytest.mark.parametrize("n", [1, 4, 7, 40])
+def test_top_docs_by_length_matches_brute(ray_session, monkeypatch, n):
+    """Length ties straddle batches (tie-break doc_id asc), null text
+    counts 0 chars, characters are code points, and n may exceed the
+    corpus."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from indexer_ray.pipelines.text_analysis import top_docs_by_length
+    from indexer_ray.stages import shuffle
+
+    texts = ["abc", None, "xyz", "é日本", "ab", "", "abcd", "qrs", None, "zz", "wxyz", "ééé"]
+    ids = [40, 3, 17, 8, 25, 1, 30, 5, 12, 9, 2, 33]
+    t = pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts, pa.string())})
+    monkeypatch.setattr(shuffle, "_TOPK_BATCH", 3)
+    ds = rd.from_arrow([t.slice(0, 5), t.slice(5, 4), t.slice(9)])
+    got = top_docs_by_length(ds, n=n).to_pandas().sort_values("rank")
+    want = sorted(((-len(x or ""), d) for d, x in zip(ids, texts)))[:n]
+    assert list(got.columns) == ["doc_id", "n_chars", "rank"]
+    assert [(r.doc_id, r.n_chars, r.rank) for r in got.itertuples()] == [
+        (d, -m, r) for r, (m, d) in enumerate(want)
+    ]
+
+
 # ------------------------------------------------------------ facet_counts
 def test_facet_counts_vs_brute(ray_session, tiny_pages, tmp_path_factory):
     import pyarrow as pa
