@@ -139,10 +139,34 @@ def bench_queries(sf_dir: str) -> tuple[dict[str, float], dict[str, int]]:
     # Pruning regression gate: on a selective query the block-max MaxScore
     # kernel must actually prune (not merely equal exhaustive) — require a
     # non-essential term (windows_skipped counts them) or a non-essential
-    # block covering no survivor (blocks_skipped), and export the counters
-    s.search("batch window", k=10, scorer="bm25", algorithm="wand")
-    ws = dict(s.last_wand_stats)
+    # block covering no survivor (blocks_skipped), and export the counters.
+    # Every union holding a common term of this corpus spans its dense doc
+    # ids, which the dense span sum scores whole, so the gate searches the
+    # same documents under url-hash ids (untimed): "dup" (df 25 of 500 at
+    # sf0.01) with "window" (df 387) fails the dense gate there
+    import datetime
+
+    import pyarrow as pa
+
+    gate_docs = os.path.join(SCRATCH, "gate_docs.parquet")
+    t = _pqw.read_table(docs_path, columns=["doc_id", "text"])
+    _pqw.write_table(
+        pa.table({
+            "url": [f"https://docs.example/{d}" for d in t.column("doc_id").to_pylist()],
+            "warc_ts": pa.array([datetime.datetime(2024, 1, 1)] * len(t), pa.timestamp("us")),
+            "text": t.column("text"),
+        }),
+        gate_docs,
+    )
+    gate_idx = os.path.join(SCRATCH, "index_gate_hash")
+    shutil.rmtree(gate_idx, ignore_errors=True)
+    build_index([gate_docs], gate_idx, BuildConfig(mode="conformance", n_partitions=8, id_assign="hash"))
+    g = IndexSearcher(gate_idx)
+    g.search("dup window", k=10, scorer="bm25", algorithm="wand")
+    ws = dict(g.last_wand_stats)
     ws["blocks_skipped"] = ws["blocks_total"] - ws["blocks_decoded"]
+    if ws["dense_sums"] != 0:
+        raise RuntimeError(f"the pruning gate's query took a dense span sum: {ws}")
     if ws["blocks_skipped"] <= 0 and ws["windows_skipped"] <= 0:
         raise RuntimeError(f"WAND pruned nothing on a selective query: {ws}")
     counters = {

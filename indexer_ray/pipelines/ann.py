@@ -94,6 +94,19 @@ def _probe_set(s: int, n_planes: int, multiprobe: int) -> set[int]:
     return out
 
 
+def _local_top(cos: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of a batch's k first rows under the final merge's order
+    (cosine desc, vec_id asc).  Every row tied with the k-th cosine
+    competes on vec_id, so a tie at the cut keeps the lowest ids, which
+    the merge then ranks first (an argpartition keeps an arbitrary one).
+    NaN cosines rank last."""
+    if k >= len(cos):
+        return np.arange(len(cos))
+    kth = -np.partition(-cos, k - 1)[k - 1]
+    idx = np.flatnonzero(~(cos < kth))
+    return idx[np.lexsort((ids[idx], -cos[idx]))][:k]
+
+
 class _BruteScoreStage:
     """Per-batch cosine vs the broadcast query matrix; emits local top-k."""
 
@@ -108,11 +121,10 @@ class _BruteScoreStage:
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         X = _normalize(_embedding_matrix(batch.column("embedding")))
         sims = X @ self.Q.T  # (n, nq)
-        k = min(self.k, len(ids))
         out_q, out_id, out_s = [], [], []
         for qi in range(self.Q.shape[0]):
             col = sims[:, qi]
-            top = np.argpartition(-col, k - 1)[:k] if k < len(ids) else np.arange(len(ids))
+            top = _local_top(col, ids, self.k)
             out_q.extend([qi] * len(top))
             out_id.extend(ids[top].tolist())
             out_s.extend(col[top].tolist())
@@ -281,8 +293,7 @@ def ann_lsh_topk(
                 sims = X[rows] @ self.Q[qis].T
                 for ci, qi in enumerate(qis):
                     col = sims[:, ci]
-                    kk = min(self.k, len(rows))
-                    top = np.argpartition(-col, kk - 1)[:kk] if kk < len(rows) else np.arange(len(rows))
+                    top = _local_top(col, ids[rows], self.k)
                     out_q.extend([qi] * len(top))
                     out_id.extend(ids[rows[top]].tolist())
                     out_s.extend(col[top].tolist())
@@ -398,10 +409,9 @@ def ann_ivf_topk(
                     continue
                 rows = np.flatnonzero(cell == c)
                 sims = X[rows] @ self.Q[qis].T
-                kk = min(self.k, len(rows))
                 for ci, qi in enumerate(qis):
                     col = sims[:, ci]
-                    top = np.argpartition(-col, kk - 1)[:kk] if kk < len(rows) else np.arange(len(rows))
+                    top = _local_top(col, ids[rows], self.k)
                     out_q.extend([qi] * len(top))
                     out_id.extend(ids[rows[top]].tolist())
                     out_s.extend(col[top].tolist())
@@ -615,14 +625,9 @@ def ann_index_query(
                 continue
             rows = np.flatnonzero(keys == b)
             sims = Xn[rows] @ self.Q[qis].T
-            kk = min(k, len(rows))
             for ci, qi in enumerate(qis):
                 col = sims[:, ci]
-                top = (
-                    np.argpartition(-col, kk - 1)[:kk]
-                    if kk < len(rows)
-                    else np.arange(len(rows))
-                )
+                top = _local_top(col, ids[rows], k)
                 out_q.extend([qi] * len(top))
                 out_id.extend(ids[rows[top]].tolist())
                 out_s.extend(col[top].tolist())
@@ -821,13 +826,10 @@ class _QuantScoreStage:
         flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
         C = flat.reshape(len(ids), -1) / 127.0  # dequantized unit-ish rows
         sims = C @ self.Q.T
-        k = min(self.k, len(ids))
         out_q, out_id, out_s = [], [], []
         for qi in range(self.Q.shape[0]):
             colv = sims[:, qi]
-            top = (
-                np.argpartition(-colv, k - 1)[:k] if k < len(ids) else np.arange(len(ids))
-            )
+            top = _local_top(colv, ids, self.k)
             out_q.extend([qi] * len(top))
             out_id.extend(ids[top].tolist())
             out_s.extend(colv[top].tolist())

@@ -24,18 +24,26 @@ Two kernels, both exact:
     order, so they agree bit for bit; the dense array's 9 B per span slot
     bound it at 9 × `_DENSE_SPAN` B per posting summed.  The reference the
     top-k kernel is tested against, and the path for k=None;
-  * block-max MaxScore ("wand", and "auto" whenever k is given) — seeds
-    the top-k threshold θ from the full scores of the highest-bound term's
-    best postings, splits off the low-bound terms whose bounds cannot
-    reach θ together (non-essential), scores only the essential terms'
-    docs, and drops a candidate whose partial score plus the non-essential
-    terms' per-block bounds (from the blocks' max_tf, min_dl) is below θ.
-    Survivors are scored in full in term order, so results equal
-    exhaustive bit for bit (tested).  A query that prunes nothing sums
-    its whole union, and the essential terms' candidates are summed, with
-    `_sum_runs` too.  Each term caches its contributions,
-    block bounds and k best positions across queries (`_TermBlocks`), so
-    a warm single-term query is a slice of O(k) positions.
+  * top-k ("wand", and "auto" whenever k is given), three regimes, all
+    equal to exhaustive bit for bit (tested):
+      - one term: a slice of its cached k best positions, O(k);
+      - a dense union (several terms whose union passes `_sum_runs`'
+        dense gate, read from the terms' cached ends): every term's
+        contributions are added into one span array, no member mask, and
+        its top k cut by a chunk-max threshold (`_top_positions`): over
+        dense ids that is cheaper than pruning;
+      - any other union (sparse, or hash-assigned ids): block-max
+        MaxScore — seeds the top-k threshold θ from the full scores of the
+        highest-bound term's best postings, splits off the low-bound terms
+        whose bounds cannot reach θ together (non-essential), scores only
+        the essential terms' docs, and drops a candidate whose partial
+        score plus the non-essential terms' per-block bounds (from the
+        blocks' max_tf, min_dl) is below θ.  Survivors are scored in full
+        in term order.  A query that prunes nothing sums its whole union
+        by the sort (`_sort_sum`: the dense gate failed), and the essential
+        terms' candidates are summed with `_sum_runs`.
+    Each term caches its contributions, block bounds and k best positions
+    across queries (`_TermBlocks`).
 
 Unlike the reference — which re-reads every segment dictionary from disk on
 every query (tree.rs:397-404) — each partition's ``blocks.parquet`` is read
@@ -133,7 +141,7 @@ class _TermBlocks:
     ``contrib`` (the postings' contributions), ``contrib_max``, ``bound``
     (each block's bound, from its max_tf and min_dl) and ``top`` = (k, the
     k best positions), also recomputed for another k.  ``ends`` = (first
-    doc_id, last doc_id, postings) feeds `_sum_runs`' gate.  ``nbytes``, the
+    doc_id, last doc_id, postings) feeds the dense gate (`_dense_span`).  ``nbytes``, the
     cache charge, counts the payloads, 48 bytes per block (metadata and
     ``bound``), 32 per posting (``decoded`` and ``contrib``) and 8 per
     cached position, moved as ``top`` changes (`IndexSearcher._set_top`)."""
@@ -159,6 +167,36 @@ class _TermBlocks:
         return self.decoded
 
 
+def _dense_span(ends: list[tuple[int, int, int]]) -> tuple[int, int] | None:
+    """(lowest id, highest id) of runs whose ends are ``ends`` — (first id,
+    last id, length) per non-empty run — when their id span is at most
+    `_DENSE_SPAN` × their total postings, else None."""
+    n, lo, hi = 0, 1 << 64, 0
+    for a, b, m in ends:
+        n += m
+        if a < lo:
+            lo = a
+        if b > hi:
+            hi = b
+    return (lo, hi) if n and hi - lo < _DENSE_SPAN * n else None  # span = hi - lo + 1 <= C·n
+
+
+def _dense_add(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray], lo: int, hi: int,
+               member: np.ndarray | None = None) -> np.ndarray:
+    """One zeroed float64 array over the ids lo..hi, each run's
+    contributions added into it run by run: slot i holds doc lo + i's sum.
+    ``member``, a bool array as long, when given, is set at every id a run
+    holds."""
+    base = np.uint64(lo)
+    acc = np.zeros(hi - lo + 1)
+    for docs, contrib in zip(doc_runs, contrib_runs):
+        off = (docs - base).view(np.int64)  # < span: exact, and indexes faster
+        acc[off] += contrib  # a run's ids are unique: one add per slot
+        if member is not None:
+            member[off] = True
+    return acc
+
+
 def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray],
               ends: list[tuple[int, int, int]] | None = None, stats: dict | None = None):
     """Per-doc score sums over several (doc_ids, contributions) runs, one per
@@ -168,17 +206,17 @@ def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray],
     is.  Several are summed one of two ways, chosen from the runs' end ids
     and lengths alone — ``ends``, (first id, last id, length) per non-empty
     run as `_TermBlocks.ends` caches them, else read off the runs:
-      * dense — the runs' id span (max last id − min first id + 1) is at
-        most `_DENSE_SPAN` × their total postings: each run's contributions
-        are added into one zeroed float64 array over the span, run by run,
-        and a bool mask marks the members, returned in id order.  The
-        transient arrays take 9 B per span slot, so at most 9 ×
-        `_DENSE_SPAN` B per posting the runs hold.  ``stats``, when given,
-        counts this regime under ``dense_sums``;
-      * sort — otherwise (sparse unions, hash-assigned ids): a stable
-        argsort — timsort merges the pre-sorted runs, and equal ids keep
-        their run order — and ``np.bincount`` over the groups, which adds
-        each doc's contributions one by one in that order.
+      * dense — `_dense_span` passes (the runs' id span is at most
+        `_DENSE_SPAN` × their total postings): `_dense_add` sums them into
+        one array over the span and marks the members in a bool mask, and
+        the members are returned in id order.  The transient arrays take
+        9 B per span slot, so at most 9 × `_DENSE_SPAN` B per posting the
+        runs hold.  ``stats``, when given, counts this regime under
+        ``dense_sums``;
+      * sort — otherwise (sparse unions, hash-assigned ids), `_sort_sum`:
+        a stable argsort — timsort merges the pre-sorted runs, and equal
+        ids keep their run order — and ``np.bincount`` over the groups,
+        which adds each doc's contributions one by one in that order.
     Both start each doc's sum from 0.0 and add its contributions in run
     order, so their sums are bit-identical: float-order parity with the
     spec scorer (tree.rs:418/445-449), for any uint64 ids."""
@@ -186,25 +224,21 @@ def _sum_runs(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray],
         return doc_runs[0], contrib_runs[0]
     if ends is None:
         ends = [(d.item(0), d.item(-1), len(d)) for d in doc_runs if len(d)]
-    n, lo, hi = 0, 1 << 64, 0
-    for a, b, m in ends:
-        n += m
-        if a < lo:
-            lo = a
-        if b > hi:
-            hi = b
-    if n and hi - lo < _DENSE_SPAN * n:  # span = hi - lo + 1 <= C·n
-        base = np.uint64(lo)
-        acc = np.zeros(hi - lo + 1)
+    span = _dense_span(ends)
+    if span is not None:
+        lo, hi = span
         member = np.zeros(hi - lo + 1, dtype=bool)
-        for docs, contrib in zip(doc_runs, contrib_runs):
-            off = (docs - base).view(np.int64)  # < span: exact, and indexes faster
-            acc[off] += contrib  # a run's ids are unique: one add per slot
-            member[off] = True
+        acc = _dense_add(doc_runs, contrib_runs, lo, hi, member)
         pos = np.flatnonzero(member)
         if stats is not None:
             stats["dense_sums"] += 1
-        return pos.astype(np.uint64) + base, acc[pos]
+        return pos.astype(np.uint64) + np.uint64(lo), acc[pos]
+    return _sort_sum(doc_runs, contrib_runs)
+
+
+def _sort_sum(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray]):
+    """`_sum_runs`' sort regime: the runs' unique ids ascending and their
+    sums."""
     docs = np.concatenate(doc_runs)
     order = np.argsort(docs, kind="stable")
     docs = docs[order]
@@ -227,15 +261,34 @@ def _full_scores(ids: np.ndarray, doc_runs: list[np.ndarray], contrib_runs: list
     return out
 
 
-def _top_positions(docs: np.ndarray, scores: np.ndarray, k: int | None) -> np.ndarray:
+def _top_positions(docs: np.ndarray | None, scores: np.ndarray, k: int | None) -> np.ndarray:
     """Positions of the first k (all when k is None) of (docs, scores) ranked
-    (score desc, doc_id asc), exact-zero scores dropped (Q6, tree.rs:457)."""
-    kth = 0.0
-    if k is not None and k < len(scores):
-        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-    # ALL boundary ties of a positive k-th score, else every nonzero score
-    idx = np.flatnonzero(scores >= kth if kth > 0.0 else scores)
-    return idx[np.lexsort((docs[idx], -scores[idx]))][:k]
+    (score desc, doc_id asc), exact-zero scores dropped (Q6, tree.rs:457).
+    ``docs`` None ranks each position as its own doc id (a dense span array).
+
+    Only rows that can reach the top k are ranked, those scoring at least
+    a cut ``lb``.  Over more than 256·k rows, cut into k equal contiguous
+    chunks (a tail shorter than a chunk left out), the scores' chunk maxima
+    are held by k distinct rows, so when the smallest of them, ``lb``, is
+    > 0, the k-th score is >= lb and the rows scoring >= lb hold the top k
+    and every tie of the k-th score (at most 11·k rows over the perfbench
+    query streams, k = 10 and 100).  Otherwise — fewer rows, or a chunk
+    scoring nothing — ``lb`` is the k-th score itself, from
+    ``np.partition``: below 256·k rows the chunk cut's extra passes and
+    larger sort cost more than the partition saves (one x86 core, best of
+    7: k=10, 6.6-7.8 against 5.5-6.2 µs at 640 rows and 8.2-8.7 against
+    8.4-9.0 µs at 2,560; k=100, 25 against 19-22 µs at 6,400 rows)."""
+    n = len(scores)
+    lb = 0.0
+    if k is not None and k < n:
+        if n > 256 * k:
+            m = n // k
+            lb = scores[: k * m].reshape(k, m).max(axis=1).min()
+        if lb <= 0.0:
+            lb = np.partition(scores, n - k)[n - k]
+    # the rows scoring >= a positive lb, else every nonzero score
+    idx = np.flatnonzero(scores >= lb if lb > 0.0 else scores)
+    return idx[np.lexsort((idx if docs is None else docs[idx], -scores[idx]))][:k]
 
 
 def _top_k(docs: np.ndarray, scores: np.ndarray, k: int | None) -> list[tuple[int, float]]:
@@ -441,16 +494,22 @@ class IndexSearcher:
         global_stats: dict | None = None,
     ) -> list[tuple[int, float]]:
         """Returns [(doc_id, score)] sorted (score desc, doc_id asc), top k.
-        ``k=None`` returns all matches (exhaustive only).
+        ``k=None`` returns all matches (exhaustive only), ``k=0`` none; a
+        negative k raises ValueError.
 
-        ``algorithm`` "auto" and "wand" both run the pruning top-k kernel
-        (`_search_wand`) whenever k is given; "exhaustive", and any k=None
-        search, scores every match.  All return identical results.
+        ``algorithm`` "auto" and "wand" both run the top-k kernel
+        (`_search_wand`: a cached single-term slice, a dense union's span
+        sum, or MaxScore) whenever k is given; "exhaustive", and any
+        k=None search, scores every match.  All return identical results.
 
         ``global_stats`` ({"n_docs", "avgdl", "df": {term: global_df}})
         overrides the local index statistics — the doc-sharded deployment
         passes corpus-wide values so every shard scores with identical
         idf/norms and shard top-ks merge exactly (serve.ShardedSearcher)."""
+        if k is not None and k < 0:
+            raise ValueError(f"search: k must be >= 0 or None, got {k}")
+        if k == 0:
+            return []
         if global_stats is not None:
             self._eff_n_docs = int(global_stats["n_docs"])
             self._eff_avgdl = float(global_stats["avgdl"])
@@ -478,24 +537,33 @@ class IndexSearcher:
         return _top_k(docs, scores, k)
 
     def _search_wand(self, terms, k, scorer) -> list[tuple[int, float]]:
-        """Block-max MaxScore top-k (Turtle & Flood 1995, with per-block
-        bounds); equals `_search_exhaustive` exactly.
+        """Top-k of a query's terms; equals `_search_exhaustive` exactly.
 
-        Contributions are >= 0, so a doc's partial score over some of its
-        terms is at most its full score, which is at most the partial score
-        plus the other terms' bounds.  One term's top k is its cached best
-        positions (`_term_top`).  Otherwise θ, the smallest
-        full score among those positions of the highest-bound term, is met
-        by k distinct docs, so no doc scoring below θ reaches the top k.  The
-        terms of the longest ascending-bound prefix whose bounds sum below θ
-        are non-essential: a doc holding only those terms scores below θ.
-        The essential terms' docs are the candidates; a candidate is dropped
-        when its partial score plus, per non-essential term, the cached
-        bound of the block covering it is below θ.  Survivors are scored in
-        full — contributions added into 0.0 in query-term order, the order
-        of `_sum_runs` — and ranked by `_top_k`.  Both cuts are strict (a doc
-        scoring exactly θ can still win its tie on doc_id) and lowered by a
-        relative margin that covers float rounding in the sums.
+        One term's top k is its cached best positions (`_term_top`).  A
+        union of several terms that passes `_sum_runs`' dense gate
+        (`_dense_span` over the terms' cached ends) is summed into one span
+        array (`_dense_add`), in query-term order as `_sum_runs` adds: a
+        slot is nonzero exactly when its doc scores nonzero, as
+        contributions are >= 0, and `_top_positions` cuts the array's top k
+        (doc id = lowest id + position).
+
+        Any other union runs block-max MaxScore (Turtle & Flood 1995, with
+        per-block bounds).  Contributions are >= 0, so a doc's partial score
+        over some of its terms is at most its full score, which is at most
+        the partial score plus the other terms' bounds.  θ, the smallest
+        full score among the cached best positions of the highest-bound
+        term, is met by k distinct docs, so no doc scoring below θ reaches
+        the top k.  The terms of the longest ascending-bound prefix whose
+        bounds sum below θ are non-essential: a doc holding only those
+        terms scores below θ.  The essential terms' docs are the
+        candidates; a candidate is dropped when its partial score plus, per
+        non-essential term, the cached bound of the block covering it is
+        below θ.  Survivors are scored in full — contributions added into
+        0.0 in query-term order, the order of `_sum_runs` — and ranked by
+        `_top_k`; when no term is non-essential, the whole union is summed
+        by `_sort_sum` instead.  Both cuts are strict (a doc scoring exactly
+        θ can still win its tie on doc_id) and lowered by a relative margin
+        that covers float rounding in the sums.
 
         Telemetry, read via ``self.last_wand_stats`` by the benchmarks:
           windows / windows_skipped — query terms / non-essential terms;
@@ -504,8 +572,11 @@ class IndexSearcher:
             non-essential blocks covering a survivor;
           payload_decodes — blocks the codec decoded during this search (a
             term's first touch decodes its whole list);
-          dense_sums — this search's `_sum_runs` merges of several runs
-            that took the dense array, not the sort."""
+          dense_sums — this search's sums of several runs into one span
+            array: MaxScore's `_sum_runs` calls that took the dense array,
+            not the sort, or 1 on the dense path.
+        The dense path prunes nothing: it reads dense_sums 1,
+        windows_skipped 0 and blocks_decoded = blocks_total."""
         nblocks = [len(tb.n) for _, _, tb in terms]
         stats = self.last_wand_stats = {
             "windows": len(terms), "windows_skipped": 0,
@@ -515,6 +586,14 @@ class IndexSearcher:
         }
         docs = [tb.decode_all()[0] for _, _, tb in terms]
         contribs = [self._term_contrib(scorer, w, tb) for _, w, tb in terms]
+        ends = [tb.ends for _, _, tb in terms]
+        span = _dense_span(ends) if len(terms) > 1 else None
+        if span is not None:
+            stats["dense_sums"] = 1
+            acc = _dense_add(docs, contribs, *span)
+            pos = _top_positions(None, acc, k)  # doc id = span[0] + position
+            ids = pos.astype(np.uint64) + np.uint64(span[0])
+            return list(zip(ids.tolist(), acc[pos].tolist()))
         bounds = [tb.contrib_max for _, _, tb in terms]
         top = bounds.index(max(bounds))
         seeds = self._term_top(terms[top][2], k)
@@ -528,11 +607,11 @@ class IndexSearcher:
         cut = theta * (1.0 - 2 * len(terms) * _EPS)
         order = sorted(range(len(terms)), key=bounds.__getitem__)
         n_non = bisect_left(list(accumulate(bounds[i] for i in order)), cut)
-        if n_non == 0:
-            return _top_k(*_sum_runs(docs, contribs, [tb.ends for _, _, tb in terms], stats), k)
+        if n_non == 0:  # the whole union, which the dense gate did not pass
+            return _top_k(*_sort_sum(docs, contribs), k)
         ess = sorted(order[n_non:])
         cand, bound = _sum_runs([docs[i] for i in ess], [contribs[i] for i in ess],
-                                [terms[i][2].ends for i in ess], stats)
+                                [ends[i] for i in ess], stats)
         covering = []
         for i in order[:n_non]:
             tb = terms[i][2]

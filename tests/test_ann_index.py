@@ -343,3 +343,46 @@ def test_ivf_full_probe_equals_brute(emb_setup):
     full = ann_ivf_topk(ds, Q, k=10, n_centroids=8, nprobe=8)
     brute = ann_brute_topk(ds, Q, k=10)
     pd.testing.assert_frame_equal(_frame_key(full), _frame_key(brute))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_tie_at_the_kth_cosine_keeps_the_lower_vec_id(ray_session, tmp_path, order):
+    """One 64-row batch in which vecs 0 and 63 both equal the query, ids
+    in ascending or descending row order: with k=1 every score stage's
+    per-batch cut keeps vec 0, which the final (cosine desc, vec_id asc)
+    merge ranks first — brute, LSH, IVF, quantized and the persisted
+    LSH/IVF index."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from indexer_ray.pipelines.ann import (
+        ann_brute_topk,
+        ann_quantized_topk,
+        quantize_embeddings,
+    )
+
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((64, 16))
+    X[63] = X[0]
+    ids = np.arange(64) if order == "ascending" else np.arange(63, -1, -1)
+    ds = rd.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(ids, type=pa.int64()),
+                "embedding": pa.array([X[i].tolist() for i in ids], type=pa.list_(pa.float64())),
+            }
+        )
+    )
+    Q = X[:1]
+    got = {
+        "brute": ann_brute_topk(ds, Q, k=1),
+        "lsh": ann_lsh_topk(ds, Q, k=1),
+        "ivf": ann_ivf_topk(ds, Q, k=1, n_centroids=4, nprobe=4),
+        "quantized": ann_quantized_topk(quantize_embeddings(ds).materialize(), Q, k=1),
+    }
+    for method in ("lsh", "ivf"):
+        d = str(tmp_path / method)
+        ann_index_build(ds, d, method=method, n_centroids=4)
+        got[f"index_{method}"] = ann_index_query(d, Q, k=1, nprobe=4)
+    for name, df in got.items():
+        assert df["vec_id"].tolist() == [0], (name, df)

@@ -11,7 +11,7 @@ from indexer_ray.conformance.lexer import tokenize
 from indexer_ray.conformance.scorer import brute_force_bm25_topk, brute_force_tfidf_topk
 from indexer_ray.functions.hashing import hash64_str
 from indexer_ray.pipelines.build import BuildConfig, build_index
-from indexer_ray.pipelines.query import IndexSearcher
+from indexer_ray.pipelines.query import IndexSearcher, _dense_span
 from indexer_ray.sources.pages import make_vocab, reference_queries
 
 
@@ -90,24 +90,43 @@ def test_wand_equals_exhaustive(built, scorer):
             assert wd == ex, (q["query"], k)
 
 
+def _takes_dense_path(s, q):
+    """Whether `_search_wand` sums ``q``'s whole union into one span array:
+    several terms whose union passes `_sum_runs`' dense gate."""
+    ends = [tb.ends for tb in map(s._load_term_blocks, dict.fromkeys(tokenize(q))) if tb]
+    return len(ends) > 1 and _dense_span(ends) is not None
+
+
+def _assert_dense_path(st):
+    assert (st["dense_sums"], st["windows_skipped"]) == (1, 0), st
+    assert st["blocks_decoded"] == st["blocks_total"], st
+
+
 def test_wand_telemetry_counts_consistent(built):
     """last_wand_stats after a WAND search: every counter non-negative,
-    windows_skipped <= windows, blocks_decoded <= blocks_total, and the
-    pruning path observably fires on at least one reference query."""
-    index_dir, _, _ = built
+    windows_skipped <= windows, blocks_decoded <= blocks_total.  On url-hash
+    ids (no union passes the dense gate) the pruning path observably fires
+    on at least one reference query; on dense ids the multi-term queries
+    whose union passes the gate (at least one) report the dense path."""
+    index_dir, manifest, _ = built
+    hashed = manifest.config["id_assign"] == "hash"
     s = IndexSearcher(index_dir)
-    any_pruned = False
+    any_pruned = any_dense = False
     for q in reference_queries():
         s.search(q["query"], k=3, scorer="bm25", algorithm="wand")
         st = s.last_wand_stats
         assert 0 <= st["windows_skipped"] <= st["windows"]
         assert 0 <= st["blocks_decoded"] <= st["blocks_total"]
+        if _takes_dense_path(s, q["query"]):
+            assert not hashed
+            _assert_dense_path(st)
+            any_dense = True
         if (
             st["windows_skipped"] > 0
             or st["blocks_decoded"] < st["blocks_total"]
         ):
             any_pruned = True
-    assert any_pruned
+    assert any_pruned if hashed else any_dense
 
 
 def test_wand_skips_blocks_on_common_plus_rare_query(built):
@@ -116,15 +135,20 @@ def test_wand_skips_blocks_on_common_plus_rare_query(built):
     covering that doc is scored: fewer blocks than the query's terms hold.
     A cold searcher decodes both lists whole; a warm rerun scores the same
     blocks and decodes none."""
-    index_dir, _, _ = built
+    index_dir, manifest, _ = built
     hot = make_vocab()[0]
     q = f"{hot} needle17"
     s = IndexSearcher(index_dir)
     assert len(s._load_term_blocks(tokenize(hot)[0]).n) > 1
     got = s.search(q, k=1, scorer="bm25", algorithm="wand")
     st = dict(s.last_wand_stats)
-    assert st["blocks_decoded"] < st["blocks_total"]
-    assert st["windows_skipped"] >= 1
+    if manifest.config["id_assign"] == "hash":
+        assert st["blocks_decoded"] < st["blocks_total"]
+        assert st["windows_skipped"] >= 1
+        assert st["dense_sums"] == 0
+    else:  # the hot term spans every dense id: the dense path scores all
+        assert _takes_dense_path(s, q)
+        _assert_dense_path(st)
     assert st["payload_decodes"] == st["blocks_total"]
     assert got == IndexSearcher(index_dir).search(q, k=1, scorer="bm25", algorithm="exhaustive")
     assert s.search(q, k=1, scorer="bm25", algorithm="wand") == got
@@ -145,16 +169,44 @@ def test_wand_skips_blocks_on_common_plus_rare_query(built):
 )
 def test_wand_branches_equal_exhaustive(built, query, k, scorer, skipped):
     """Each branch of the top-k kernel, told apart by the non-essential
-    term count, equals the exhaustive kernel exactly."""
+    term count, equals the exhaustive kernel exactly.  On dense ids every
+    multi-term case's union passes the dense gate (the hot term, df = N,
+    spans every doc; needle42 and needle43 sit in adjacent docs), so those
+    take the dense path instead; on url-hash ids MaxScore runs them."""
     index_dir, manifest, _ = built
     vocab = make_vocab()
     q = query.format(hot=vocab[0], mid=vocab[100])
     s = IndexSearcher(index_dir)
     assert s.term_df(tokenize(vocab[0])[0]) == manifest.n_docs
     got = s.search(q, k=k, scorer=scorer, algorithm="wand")
-    assert s.last_wand_stats["windows_skipped"] == skipped
+    dense = manifest.config["id_assign"] == "dense" and " " in query
+    assert _takes_dense_path(s, q) == dense
+    if dense:
+        _assert_dense_path(s.last_wand_stats)
+    else:
+        assert s.last_wand_stats["windows_skipped"] == skipped
+        assert s.last_wand_stats["dense_sums"] == 0
     assert got == s.search(q, k=k, scorer=scorer, algorithm="exhaustive")
     assert got
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "wand", "exhaustive"])
+def test_search_k_zero_and_negative(built, algorithm):
+    """k=0 returns no hits; a negative k raises ValueError naming k when
+    the call is made, before the query is looked at — through
+    `search_urls` too."""
+    index_dir, _, _ = built
+    vocab = make_vocab()
+    s = IndexSearcher(index_dir)
+    for q in (f"{vocab[0]} {vocab[100]} needle17", "needle17", ""):
+        for scorer in ("bm25", "tfidf"):
+            kw = dict(scorer=scorer, algorithm=algorithm)
+            assert s.search(q, k=0, **kw) == []
+            assert s.search_urls(q, k=0, **kw) == []
+            for search in (s.search, s.search_urls):
+                with pytest.raises(ValueError, match="k must be >= 0"):
+                    search(q, k=-1, **kw)
+    assert s.search("needle17", k=1, algorithm=algorithm)
 
 
 def test_cached_contributions_follow_scoring_inputs(built):

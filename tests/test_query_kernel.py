@@ -1,7 +1,8 @@
 """The warm query kernel's per-doc summing (`_sum_runs`, in both its dense
 and its sort regime) equals the `np.unique` + `np.add.at` reference
 accumulate, bit for bit, and its top-k selection (`_top_positions`,
-`_top_k`) equals a brute-force sort."""
+`_top_k`, with and without the chunk-max cut) equals a brute-force sort;
+a dense-id union summed over its span equals exhaustive and the spec."""
 
 import numpy as np
 import pytest
@@ -177,3 +178,122 @@ def test_top_k_empty_input():
     for k in (1, 3, None):
         assert _top_k(docs, scores, k) == []
         assert len(_top_positions(docs, scores, k)) == 0
+
+
+@pytest.fixture
+def partitions(monkeypatch):
+    """Counts `np.partition` calls: the chunk-max cut makes none."""
+    calls = []
+    real = np.partition
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(np, "partition", counted)
+    return calls
+
+
+def _ranked(docs, scores, k):
+    pos = _top_positions(docs, scores, k)
+    return list(zip(docs[pos].tolist(), scores[pos].tolist()))
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_chunk_max_cut_equals_sorted(k, partitions):
+    """Over more than 256·k rows with no chunk scoring nothing the cut
+    skips the partition, and equals a brute-force sort: few distinct
+    values (heavy ties at the k-th score) or distinct ones, zeros among
+    them, doc ids ascending (a span array, ``docs`` None too) or
+    shuffled."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = 256 * k + 1 + int(rng.integers(0, 3000))
+        if seed % 2:
+            scores = rng.choice([0.0, 0.5, 1.0, 2.0], n)
+        else:
+            scores = rng.random(n) * (rng.random(n) < 0.7)
+        m = n // k
+        scores[np.arange(k) * m + rng.integers(0, m, k)] += 0.125  # lb > 0
+        ascending = np.arange(n, dtype=np.uint64) + np.uint64(2**63)
+        for docs in (ascending, rng.permutation(ascending)):
+            del partitions[:]
+            assert _ranked(docs, scores, k) == _sorted_top_k(docs, scores, k), (seed, k)
+            assert not partitions
+        pos = _top_positions(None, scores, k)
+        assert np.array_equal(pos, _top_positions(np.arange(n), scores, k))
+
+
+@pytest.mark.parametrize("k", [2, 5, 10])
+def test_chunk_max_cut_ties_straddle_chunk_edges(k, partitions):
+    """The k-th score is held by more rows than the top k has room for,
+    at both sides of every chunk edge and in the tail past the last full
+    chunk: the lowest ids among them fill the top k."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = 256 * k + 1 + int(rng.integers(0, 500))
+        m = n // k
+        scores = rng.random(n) * 0.5
+        edges = np.arange(1, k + 1) * m
+        tied = np.unique(np.r_[edges - 1, edges[:-1], n - 1])
+        scores[tied] = 0.75
+        scores[rng.choice(n, k // 2, replace=False)] = 1.0  # some above the tie
+        docs = rng.permutation(n).astype(np.uint64)
+        assert _ranked(docs, scores, k) == _sorted_top_k(docs, scores, k), seed
+        assert not partitions
+
+
+def test_chunk_max_cut_falls_back_when_a_chunk_scores_nothing(partitions):
+    """One of the 10 chunks scoring nothing (lb = 0) falls back to the
+    partition at k=10, while k=1 and k=3 still cut; n-1 rows are too few
+    for the cut (k >= n needs neither).  k beyond the nonzero count
+    too."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = 3000 + int(rng.integers(0, 1000))
+        docs = np.arange(n, dtype=np.uint64)
+        scores = rng.random(n) * (rng.random(n) < 0.5)
+        m = n // 10
+        c = int(rng.integers(0, 10))
+        scores[c * m:(c + 1) * m] = 0.0
+        for k in (1, 3, 10, n - 1, n, n + 5):
+            del partitions[:]
+            assert _ranked(docs, scores, k) == _sorted_top_k(docs, scores, k), (seed, k)
+            assert len(partitions) == (k in (10, n - 1)), (seed, k)
+        few = np.zeros(n)
+        few[rng.choice(n, 4, replace=False)] = [3.0, 1.0, 1.0, 2.0]
+        for k in (1, 4, 5, 10, n + 5):
+            assert _ranked(docs, few, k) == _sorted_top_k(docs, few, k), (seed, k)
+        assert _ranked(docs, np.zeros(n), 3) == []
+
+
+def test_dense_union_with_zero_weight_term_equals_exhaustive_and_spec(ray_session, tiny_pages, tmp_path):
+    """On a dense-id index a tfidf query pairing the hot term (df = N, so
+    weight |ln(N/N)| = 0) with a mid-frequency term sums its union over
+    the span — the dense path, no MaxScore — and equals exhaustive and the
+    brute-force spec scorer."""
+    import pyarrow.parquet as pq
+
+    from indexer_ray.conformance.lexer import tokenize
+    from indexer_ray.conformance.scorer import brute_force_tfidf_topk
+    from indexer_ray.pipelines.build import BuildConfig, build_index
+    from indexer_ray.pipelines.query import IndexSearcher
+    from indexer_ray.sources.pages import make_vocab
+
+    index_dir = str(tmp_path / "idx")
+    build_index([tiny_pages], index_dir, BuildConfig(n_partitions=4, block_size=16, sample_docs=100))
+    texts = pq.read_table(tiny_pages, columns=["text"]).column("text").to_pylist()
+    corpus = [(i, tokenize(t)) for i, t in enumerate(texts)]
+    vocab = make_vocab()
+    s = IndexSearcher(index_dir)
+    assert s.term_df(tokenize(vocab[0])[0]) == s.n_docs
+    for q in (f"{vocab[0]} {vocab[100]}", f"{vocab[100]} {vocab[0]} {vocab[3]}"):
+        for k in (1, 3, 10, 500):
+            got = s.search(q, k=k, scorer="tfidf", algorithm="wand")
+            st = s.last_wand_stats
+            assert (st["dense_sums"], st["windows_skipped"]) == (1, 0), (q, k)
+            assert got == s.search(q, k=k, scorer="tfidf", algorithm="exhaustive"), (q, k)
+            want = brute_force_tfidf_topk(corpus, tokenize(q), k=k)
+            assert [d for d, _ in got] == [d for d, _ in want], (q, k)
+            assert [x for _, x in got] == pytest.approx([x for _, x in want], rel=1e-12), (q, k)
+            assert got
