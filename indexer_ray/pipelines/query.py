@@ -42,8 +42,11 @@ Two kernels, both exact:
         in term order.  A query that prunes nothing sums its whole union
         by the sort (`_sort_sum`: the dense gate failed), and the essential
         terms' candidates are summed with `_sum_runs`.
-    Each term caches its contributions, block bounds and k best positions
-    across queries (`_TermBlocks`).
+    Each term caches, across queries, up to `_SCORING_SLOTS` scoring
+    records, one per weight: its contributions, block bounds, k best
+    positions and, once it joins a dense union, its contributions laid over
+    its own doc-id span, so the dense path adds it as one slice
+    (`_TermBlocks`, `_Scoring`).
 
 Unlike the reference — which re-reads every segment dictionary from disk on
 every query (tree.rs:397-404) — each partition's ``blocks.parquet`` is read
@@ -80,6 +83,11 @@ _EPS = sys.float_info.epsilon
 #: `_sum_runs` adds runs into one dense array when their doc-id span is at
 #: most this many times their postings (the sweep is in BASELINE.md)
 _DENSE_SPAN = 4
+
+#: scoring records a term keeps, one per (scorer, weight, avgdl), the least
+#: recently used dropped first: a query repeating a token (another weight)
+#: leaves the plain query's record in place
+_SCORING_SLOTS = 2
 
 #: the columns of ``blocks.parquet`` the searcher reads
 _BLOCKS_SCHEMA = pa.schema(
@@ -132,31 +140,58 @@ class _PartBlocks:
         return int(self.n[self.rows(term)].sum())
 
 
+class _Scoring:
+    """A term's scoring state for one ``key`` = (scorer, weight, avgdl):
+    ``contrib`` (the postings' contributions, read-only),
+    ``contrib_max``, ``bound`` (each block's bound, from its max_tf and
+    min_dl), ``top`` = (k, the k best positions), recomputed for another k,
+    and ``row``: the contributions laid over the term's own doc-id span
+    (first to last id, zeros between), built the first time the term joins
+    a dense union, and only when that span is at most `_DENSE_SPAN` × df,
+    so a row takes at most 32 B per posting.  ``nbytes``, the record's
+    share of the term's cache charge, is 8 B per posting, per block, per
+    cached position and per row slot."""
+
+    __slots__ = ("key", "contrib", "contrib_max", "bound", "top", "row")
+
+    def __init__(self, key: tuple[str, float, float], contrib: np.ndarray, bound: np.ndarray):
+        self.key, self.contrib, self.bound = key, contrib, bound
+        self.contrib_max = float(contrib.max())
+        self.top = self.row = None
+
+    @property
+    def nbytes(self) -> int:
+        return (self.contrib.nbytes + self.bound.nbytes
+                + (0 if self.top is None else self.top[1].nbytes)
+                + (0 if self.row is None else self.row.nbytes))
+
+
 class _TermBlocks:
     """All block metadata + payloads for one term, in global doc_id order.
 
     ``decoded`` lazily caches the decoded (doc_ids, tfs, dls), read-only:
-    hot terms decode once per searcher, not once per query.  Cached under
-    ``contrib_key`` = (scorer, weight, avgdl), recomputed when it changes:
-    ``contrib`` (the postings' contributions), ``contrib_max``, ``bound``
-    (each block's bound, from its max_tf and min_dl) and ``top`` = (k, the
-    k best positions), also recomputed for another k.  ``ends`` = (first
-    doc_id, last doc_id, postings) feeds the dense gate (`_dense_span`).  ``nbytes``, the
-    cache charge, counts the payloads, 48 bytes per block (metadata and
-    ``bound``), 32 per posting (``decoded`` and ``contrib``) and 8 per
-    cached position, moved as ``top`` changes (`IndexSearcher._set_top`)."""
+    hot terms decode once per searcher, not once per query.  ``scoring``
+    holds up to `_SCORING_SLOTS` `_Scoring` records by their ``key``,
+    least recently used first, ``mru`` the last of them
+    (`IndexSearcher._scoring`).  ``ends`` =
+    (first doc_id, last doc_id, postings) feeds the dense gate
+    (`_dense_span`).  ``nbytes``, the cache charge, is the base — the
+    payloads, 40 bytes per block (metadata) and 24 per posting
+    (``decoded``) — plus each record's ``nbytes``, moved as records, their
+    positions and rows come and go (`IndexSearcher._recharge`)."""
 
     __slots__ = (
         "term", "df", "first", "last", "n", "max_tf", "min_dl", "payloads",
-        "decoded", "contrib", "contrib_max", "bound", "top", "contrib_key", "nbytes", "ends",
+        "decoded", "scoring", "mru", "nbytes", "ends",
     )
 
     def __init__(self, term, df, first, last, n, max_tf, min_dl, payloads):
         self.term, self.df = term, df
         self.first, self.last, self.n = first, last, n
         self.max_tf, self.min_dl, self.payloads = max_tf, min_dl, payloads
-        self.decoded = self.contrib = self.contrib_max = self.bound = self.top = self.contrib_key = None
-        self.nbytes = sum(len(p) for p in payloads) + 48 * len(n) + 32 * int(n.sum())
+        self.decoded = self.mru = None
+        self.scoring: OrderedDict[tuple[str, float, float], _Scoring] = OrderedDict()
+        self.nbytes = sum(len(p) for p in payloads) + 40 * len(n) + 24 * int(n.sum())
         self.ends = (int(first[0]), int(last[-1]), df)  # the blocks are doc-ordered
 
     def decode_all(self):
@@ -182,18 +217,16 @@ def _dense_span(ends: list[tuple[int, int, int]]) -> tuple[int, int] | None:
 
 
 def _dense_add(doc_runs: list[np.ndarray], contrib_runs: list[np.ndarray], lo: int, hi: int,
-               member: np.ndarray | None = None) -> np.ndarray:
+               member: np.ndarray) -> np.ndarray:
     """One zeroed float64 array over the ids lo..hi, each run's
     contributions added into it run by run: slot i holds doc lo + i's sum.
-    ``member``, a bool array as long, when given, is set at every id a run
-    holds."""
+    ``member``, a bool array as long, is set at every id a run holds."""
     base = np.uint64(lo)
     acc = np.zeros(hi - lo + 1)
     for docs, contrib in zip(doc_runs, contrib_runs):
         off = (docs - base).view(np.int64)  # < span: exact, and indexes faster
         acc[off] += contrib  # a run's ids are unique: one add per slot
-        if member is not None:
-            member[off] = True
+        member[off] = True
     return acc
 
 
@@ -334,6 +367,7 @@ class IndexSearcher:
         self._cache: OrderedDict[tuple[str, object], _PartBlocks | _TermBlocks] = OrderedDict()
         self._cache_budget = blocks_cache_bytes
         self._cache_bytes = 0
+        self._scoring_builds = 0  # `_Scoring` records built, a running total
 
     # ---- lookup ----
 
@@ -356,12 +390,10 @@ class IndexSearcher:
             _, old = self._cache.popitem(last=False)
             self._cache_bytes -= old.nbytes
 
-    def _set_top(self, tb: _TermBlocks, top: tuple[int, np.ndarray] | None):
-        """Replace ``tb.top`` and move ``tb``'s charge by the positions'
-        bytes, and the cached total too if ``tb`` is cached (which may
-        evict it, once it alone exceeds the budget)."""
-        delta = (0 if top is None else top[1].nbytes) - (0 if tb.top is None else tb.top[1].nbytes)
-        tb.top = top
+    def _recharge(self, tb: _TermBlocks, delta: int):
+        """Move ``tb``'s charge by ``delta`` bytes, and the cached total too
+        if ``tb`` is cached (which may evict it, once it alone exceeds the
+        budget)."""
         tb.nbytes += delta
         if self._cache.get(("term", tb.term)) is tb:
             self._charge(delta)
@@ -459,29 +491,53 @@ class IndexSearcher:
         norm = tff + K1 * (1.0 - B + B * dls.astype(np.float64) / self._eff_avgdl)
         return w * tff * (K1 + 1.0) / norm
 
-    def _term_contrib(self, scorer: str, w: float, tb: _TermBlocks) -> np.ndarray:
-        """Contributions of every posting of ``tb`` (decoded here if needed),
-        cached on ``tb`` under everything they depend on besides the
-        postings: the scorer, the term's weight (which carries n_docs, df and
-        the query multiplicity) and the effective avgdl."""
+    def _scoring(self, scorer: str, w: float, tb: _TermBlocks) -> _Scoring:
+        """``tb``'s scoring record under everything its contributions depend
+        on besides the postings: the scorer, the term's weight (which
+        carries n_docs, df and the query multiplicity) and the effective
+        avgdl.  A miss builds it (decoding ``tb`` if needed), dropping the
+        least recently used record when `_SCORING_SLOTS` are taken.  The
+        most recent record is checked first: a query stream mostly repeats
+        a term's last weight, and that check touches no dict."""
         key = (scorer, w, self._eff_avgdl)
-        if tb.contrib_key != key:
+        sc = tb.mru
+        if sc is not None and sc.key == key:
+            return sc
+        sc = tb.scoring.get(key)
+        if sc is not None:
+            tb.scoring.move_to_end(key)
+        else:
             _, tfs, dls = tb.decode_all()
-            tb.contrib = self._contrib(scorer, w, tfs, dls)
-            tb.contrib.flags.writeable = False
-            tb.contrib_max = float(tb.contrib.max())
-            tb.bound = self._contrib(scorer, w, tb.max_tf, tb.min_dl)
-            tb.contrib_key = key
-            if tb.top is not None:
-                self._set_top(tb, None)
-        return tb.contrib
+            contrib = self._contrib(scorer, w, tfs, dls)
+            contrib.flags.writeable = False
+            sc = _Scoring(key, contrib, self._contrib(scorer, w, tb.max_tf, tb.min_dl))
+            if len(tb.scoring) == _SCORING_SLOTS:
+                self._recharge(tb, -tb.scoring.popitem(last=False)[1].nbytes)
+            tb.scoring[key] = sc
+            self._scoring_builds += 1
+            self._recharge(tb, sc.nbytes)
+        tb.mru = sc
+        return sc
 
-    def _term_top(self, tb: _TermBlocks, k: int) -> np.ndarray:
-        """`_top_positions` of ``tb``'s cached contributions, cached with them."""
-        if tb.top is None or tb.top[0] != k:
+    def _term_top(self, tb: _TermBlocks, sc: _Scoring, k: int) -> np.ndarray:
+        """`_top_positions` of ``sc``'s contributions, cached on ``sc``."""
+        if sc.top is None or sc.top[0] != k:
+            old = sc.nbytes
             # a copy: the k-slice would keep every tie of the k-th score alive
-            self._set_top(tb, (k, _top_positions(tb.decoded[0], tb.contrib, k).copy()))
-        return tb.top[1]
+            sc.top = (k, _top_positions(tb.decoded[0], sc.contrib, k).copy())
+            self._recharge(tb, sc.nbytes - old)
+        return sc.top[1]
+
+    def _term_row(self, tb: _TermBlocks, sc: _Scoring) -> np.ndarray:
+        """``sc``'s contributions over ``tb``'s own id span, cached on ``sc``."""
+        if sc.row is None:
+            lo, hi, _ = tb.ends
+            row = np.zeros(hi - lo + 1)
+            row[(tb.decoded[0] - np.uint64(lo)).view(np.int64)] = sc.contrib
+            row.flags.writeable = False
+            sc.row = row
+            self._recharge(tb, row.nbytes)
+        return sc.row
 
     # ---- public API ----
 
@@ -531,7 +587,7 @@ class IndexSearcher:
         # order; `_sum_runs` adds each doc's contributions in that order.
         docs, scores = _sum_runs(
             [tb.decode_all()[0] for _, _, tb in terms],
-            [self._term_contrib(scorer, w, tb) for _, w, tb in terms],
+            [self._scoring(scorer, w, tb).contrib for _, w, tb in terms],
             [tb.ends for _, _, tb in terms],
         )
         return _top_k(docs, scores, k)
@@ -539,12 +595,18 @@ class IndexSearcher:
     def _search_wand(self, terms, k, scorer) -> list[tuple[int, float]]:
         """Top-k of a query's terms; equals `_search_exhaustive` exactly.
 
+        Each term's weight-dependent state is its `_Scoring` record for
+        this query's weight (`_scoring`; a term keeps `_SCORING_SLOTS`).
         One term's top k is its cached best positions (`_term_top`).  A
         union of several terms that passes `_sum_runs`' dense gate
-        (`_dense_span` over the terms' cached ends) is summed into one span
-        array (`_dense_add`), in query-term order as `_sum_runs` adds: a
-        slot is nonzero exactly when its doc scores nonzero, as
-        contributions are >= 0, and `_top_positions` cuts the array's top k
+        (`_dense_span` over the terms' cached ends) is summed into one
+        zeroed span array, term by term in query-term order as `_sum_runs`
+        adds: a term whose own id span is at most `_DENSE_SPAN` × df adds
+        its cached row (`_term_row`) as one slice, any other term scatters
+        its contributions.  A row adds 0.0 at the docs it lacks, and
+        x + 0.0 == x for the non-negative sums, so the slots equal
+        `_sum_runs`' sums bit for bit; a slot is nonzero exactly when its
+        doc scores nonzero, and `_top_positions` cuts the array's top k
         (doc id = lowest id + position).
 
         Any other union runs block-max MaxScore (Turtle & Flood 1995, with
@@ -574,10 +636,13 @@ class IndexSearcher:
             term's first touch decodes its whole list);
           dense_sums — this search's sums of several runs into one span
             array: MaxScore's `_sum_runs` calls that took the dense array,
-            not the sort, or 1 on the dense path.
+            not the sort, or 1 on the dense path;
+          scoring_builds — the `_Scoring` records this search built (0 on
+            a warm hit).
         The dense path prunes nothing: it reads dense_sums 1,
         windows_skipped 0 and blocks_decoded = blocks_total."""
         nblocks = [len(tb.n) for _, _, tb in terms]
+        builds = self._scoring_builds
         stats = self.last_wand_stats = {
             "windows": len(terms), "windows_skipped": 0,
             "blocks_decoded": sum(nblocks), "blocks_total": sum(nblocks),
@@ -585,18 +650,26 @@ class IndexSearcher:
             "dense_sums": 0,
         }
         docs = [tb.decode_all()[0] for _, _, tb in terms]
-        contribs = [self._term_contrib(scorer, w, tb) for _, w, tb in terms]
+        scs = [self._scoring(scorer, w, tb) for _, w, tb in terms]
+        stats["scoring_builds"] = self._scoring_builds - builds
         ends = [tb.ends for _, _, tb in terms]
         span = _dense_span(ends) if len(terms) > 1 else None
         if span is not None:
             stats["dense_sums"] = 1
-            acc = _dense_add(docs, contribs, *span)
-            pos = _top_positions(None, acc, k)  # doc id = span[0] + position
-            ids = pos.astype(np.uint64) + np.uint64(span[0])
+            lo, hi = span
+            acc = np.zeros(hi - lo + 1)
+            for d, sc, (_, _, tb), (a, b, m) in zip(docs, scs, terms, ends):
+                if b - a < _DENSE_SPAN * m:  # its own span is dense: one slice add
+                    acc[a - lo : b - lo + 1] += self._term_row(tb, sc)
+                else:
+                    acc[(d - np.uint64(lo)).view(np.int64)] += sc.contrib
+            pos = _top_positions(None, acc, k)  # doc id = lo + position
+            ids = pos.astype(np.uint64) + np.uint64(lo)
             return list(zip(ids.tolist(), acc[pos].tolist()))
-        bounds = [tb.contrib_max for _, _, tb in terms]
+        contribs = [sc.contrib for sc in scs]
+        bounds = [sc.contrib_max for sc in scs]
         top = bounds.index(max(bounds))
-        seeds = self._term_top(terms[top][2], k)
+        seeds = self._term_top(terms[top][2], scs[top], k)
         if len(terms) == 1:
             return list(zip(docs[0][seeds].tolist(), contribs[0][seeds].tolist()))
         theta = -math.inf  # the top term holds fewer than k scoring postings
@@ -618,7 +691,7 @@ class IndexSearcher:
             b = np.searchsorted(tb.last, cand)  # first block ending at or after the doc
             bc = np.minimum(b, len(tb.last) - 1)
             hit = (b < len(tb.last)) & (tb.first[bc] <= cand)
-            bound = bound + np.where(hit, tb.bound[bc], 0.0)
+            bound = bound + np.where(hit, scs[i].bound[bc], 0.0)
             covering.append((b, hit))
         keep = bound >= cut
         stats["windows_skipped"] = n_non
@@ -815,6 +888,8 @@ def facet_counts(searcher: IndexSearcher, docs_ds, query: str, facet_col: str = 
     import ray
     from ray.data.aggregate import Count
 
+    from indexer_ray.stages.shuffle import grouped_aggregate
+
     # int64 cast BEFORE sort: hash-assigned ids >= 2^63 reorder under the
     # cast, and searchsorted requires the CAST order
     ids_ref = ray.put(np.sort(searcher.matching_doc_ids(query).astype(np.int64)))
@@ -824,11 +899,11 @@ def facet_counts(searcher: IndexSearcher, docs_ds, query: str, facet_col: str = 
         d = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         return batch.filter(pa.array(_member_mask(ids, d)))
 
-    return (
+    return grouped_aggregate(
         docs_ds.select_columns(["doc_id", facet_col])
-        .map_batches(_member, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(facet_col)
-        .aggregate(Count(alias_name="n_docs"))
+        .map_batches(_member, batch_format="pyarrow", zero_copy_batch=True),
+        [facet_col],
+        Count(alias_name="n_docs"),
     )
 
 

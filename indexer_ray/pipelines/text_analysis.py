@@ -21,7 +21,7 @@ import pyarrow as pa
 
 from indexer_ray.conformance.lexer import tokenize, tokenize_plain
 from indexer_ray.conformance.stopwords import STOP_WORDS
-from indexer_ray.stages.shuffle import routed_reduce, top_k_rows
+from indexer_ray.stages.shuffle import grouped_aggregate, routed_reduce, top_k_rows
 
 # ---------------------------------------------------------------- token stats
 
@@ -447,10 +447,13 @@ def fingerprints(ds):
 def lang_source_stats(ds):
     """Grouped aggregate: docs + char stats per (lang, source) — the
     reference has no grouped analytics; this is the training-pipeline rollup
-    shape (pre-aggregated per batch, then a tiny groupby)."""
+    shape (pre-aggregated per batch, then a tiny groupby).  A null lang or
+    source is a group of its own (`grouped_aggregate`)."""
     from ray.data.aggregate import Count, Max, Mean, Sum
 
-    return ds.groupby(["lang", "source"]).aggregate(
+    return grouped_aggregate(
+        ds,
+        ["lang", "source"],
         Count(alias_name="n_docs"),
         Sum("n_chars", alias_name="sum_chars"),
         Mean("n_chars", alias_name="avg_chars"),

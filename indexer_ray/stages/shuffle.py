@@ -42,6 +42,10 @@ cut may drop rows safely only because the order is TOTAL: the sort keys
 must end in a column (or columns) unique within each group, so no two
 rows tie and the survivors of every batch are exactly the rows the
 global order would keep.
+
+Finally ``grouped_aggregate``: Ray's ``groupby(keys).aggregate`` with
+null keys grouped (as SQL and ``pandas.groupby(dropna=False)`` do), which
+Ray's sort-based groupby cannot order in a multi-block input.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ _MIX = np.uint64(0x100000001B3)
 _TOPK_BATCH = 8192
 #: ``top_k_rows``' merge group: (group key is null, key with nulls filled)
 _TOPK_GROUP = ("__topk_null", "__topk_key")
+#: ``grouped_aggregate``'s is-null column of a key
+_NULL_KEY = "__null_{}"
 
 
 def _column_hash(col: pa.ChunkedArray) -> np.ndarray:
@@ -351,4 +357,45 @@ def top_k_rows(
         ds.map_batches(_cut, batch_format="pandas", batch_size=_TOPK_BATCH)
         .groupby(list(_TOPK_GROUP))
         .map_groups(_merge, batch_format="pandas")
+    )
+
+
+def _split_null_keys(t: pa.Table, keys: list[str]) -> pa.Table:
+    """Each key column with its nulls filled ("" or 0), beside an int8
+    is-null column."""
+    for c in keys:
+        col = t.column(c)
+        fill = "" if pa.types.is_string(col.type) or pa.types.is_large_string(col.type) else 0
+        t = t.set_column(t.schema.get_field_index(c), c, pc.fill_null(col, fill))
+        t = t.append_column(_NULL_KEY.format(c), pc.cast(pc.is_null(col), pa.int8()))
+    return t
+
+
+def _restore_null_keys(t: pa.Table, keys: list[str]) -> pa.Table:
+    """`_split_null_keys` undone: the flagged keys null again, the is-null
+    columns dropped."""
+    for c in keys:
+        col = t.column(c)
+        null = pc.equal(t.column(_NULL_KEY.format(c)), 1)
+        t = t.set_column(t.schema.get_field_index(c), c,
+                         pc.if_else(null, pa.scalar(None, col.type), col))
+    return t.drop_columns([_NULL_KEY.format(c) for c in keys])
+
+
+def grouped_aggregate(ds, keys: Sequence[str], *aggs):
+    """``ds.groupby(keys).aggregate(*aggs)``, null keys included: a null
+    key is a group of its own.  Ray's sort-based groupby cannot order a
+    null key against a non-null one in a multi-block input (Ray 2.49.2
+    raises ``TypeError``), so each key groups as (key is null, key with
+    nulls filled), as `top_k_rows` groups, and the nulls come back in the
+    output.  Output: the keys, then the aggregates; groups by ascending
+    key, a key's null group last."""
+    keys = list(keys)
+    kw = {"fn_kwargs": {"keys": keys}, "batch_format": "pyarrow"}
+    by = [c for k in keys for c in (_NULL_KEY.format(k), k)]
+    return (
+        ds.map_batches(_split_null_keys, zero_copy_batch=True, **kw)
+        .groupby(by)
+        .aggregate(*aggs)
+        .map_batches(_restore_null_keys, **kw)
     )

@@ -11,7 +11,7 @@ from indexer_ray.conformance.lexer import tokenize
 from indexer_ray.conformance.scorer import brute_force_bm25_topk, brute_force_tfidf_topk
 from indexer_ray.functions.hashing import hash64_str
 from indexer_ray.pipelines.build import BuildConfig, build_index
-from indexer_ray.pipelines.query import IndexSearcher, _dense_span
+from indexer_ray.pipelines.query import _DENSE_SPAN, IndexSearcher, _dense_span
 from indexer_ray.sources.pages import make_vocab, reference_queries
 
 
@@ -280,32 +280,146 @@ def test_dense_sums_follow_the_id_span(built, scorer):
 
 
 def test_cached_positions_charged_per_position(built):
-    """A term's cache charge counts 32 B per posting and 8 B per cached
-    top position: a long term searched at k=1 adds 8 bytes, not 8 per
-    posting, and another k or scorer re-charges it and the searcher's
-    total.  The positions own their bytes: a k-slice of `_top_positions`
-    would keep every tie of the k-th score alive behind 8 × k."""
+    """A term's cache charge is its base — payloads, 40 B per block, 24 B
+    per posting — plus one `_Scoring` record per weight it keeps: 8 B per
+    posting, per block, per cached top position and per slot of its span
+    row.  Each step moves the term's charge and the searcher's total by
+    exactly that: a record, its k=1 position, a second weight's record with
+    ten positions, then a row once the term joins a dense union (dense ids
+    only: url-hash ids spread the term over uint64 and never pass the gate).
+    The positions own their bytes: a k-slice of `_top_positions` would keep
+    every tie of the k-th score alive behind 8 × k."""
     index_dir, manifest, _ = built
-    term = tokenize(make_vocab()[0])[0]
+    vocab = make_vocab()
+    hot = vocab[0]
+    term = tokenize(hot)[0]
     s = IndexSearcher(index_dir)
     tb = s._load_term_blocks(term)
-    base = sum(map(len, tb.payloads)) + 48 * len(tb.n) + 32 * tb.df
+    base = sum(map(len, tb.payloads)) + 40 * len(tb.n) + 24 * tb.df
+    record = 8 * tb.df + 8 * len(tb.n)
     assert tb.df == manifest.n_docs and tb.nbytes == base
-    for k, scorer, n_top in ((1, "bm25", 1), (10, "bm25", 10), (1, "bm25", 1), (3, "tfidf", 0)):
-        # tf-idf gives the hot term (df = N) zero idf: no scoring postings
-        s.search(term, k=k, scorer=scorer, algorithm="wand")
+
+    def charged(nbytes):
         assert s._cache[("term", term)] is tb
-        assert tb.nbytes == base + 8 * n_top, (k, scorer)
-        assert tb.top[1].base is None
+        assert tb.nbytes == nbytes == base + sum(sc.nbytes for sc in tb.scoring.values())
         assert s._cache_bytes == sum(e.nbytes for e in s._cache.values())
-    # a budget that the term and its partitions fill exactly: caching one
-    # position goes over it and evicts the least recently used entry
+
+    s.search(hot, k=1, scorer="bm25", algorithm="exhaustive")  # a record, no positions
+    charged(base + record)
+    s.search(hot, k=1, scorer="bm25", algorithm="wand")
+    charged(base + record + 8)
+    plain = next(iter(tb.scoring.values()))
+    assert plain.top[1].base is None
+    s.search(f"{hot} {hot}", k=10, scorer="bm25", algorithm="wand")  # another weight
+    charged(base + 2 * record + 8 + 80)
+    s.search(f"{hot} {vocab[100]}", k=3, scorer="bm25", algorithm="wand")
+    if manifest.config["id_assign"] == "dense":  # the hot term spans every id
+        _assert_dense_path(s.last_wand_stats)
+        lo, hi, _ = tb.ends
+        assert len(plain.row) == hi - lo + 1 == manifest.n_docs
+        charged(base + 2 * record + 8 + 80 + 8 * manifest.n_docs)
+    else:
+        assert plain.row is None
+        charged(base + 2 * record + 8 + 80)
+    # a budget that the term, one record and its partitions fill exactly:
+    # caching one position goes over it and evicts the least recently used
     full = IndexSearcher(index_dir)
-    full._load_term_blocks(term)
+    full.search(hot, k=1, scorer="bm25", algorithm="exhaustive")
     s = IndexSearcher(index_dir, blocks_cache_bytes=full._cache_bytes)
-    s.search(term, k=1, scorer="bm25", algorithm="wand")
+    s.search(hot, k=1, scorer="bm25", algorithm="exhaustive")
+    assert list(s._cache) == list(full._cache)
+    s.search(hot, k=1, scorer="bm25", algorithm="wand")
     assert list(s._cache) == list(full._cache)[1:]
     assert s._cache_bytes == sum(e.nbytes for e in s._cache.values()) <= full._cache_bytes
+
+
+@pytest.mark.parametrize("change", ["tokens", "scorer", "avgdl"])
+def test_returning_weight_builds_no_scoring_state(built, change):
+    """`hot`, then the same term under a second weight (a repeated token,
+    the other scorer, or another avgdl), then `hot` again: a term keeps
+    two scoring records, so the third search builds nothing — no record,
+    no positions — and moves no byte of the term's charge."""
+    index_dir, _, _ = built
+    hot = make_vocab()[0]
+    plain = dict(k=10, scorer="bm25", algorithm="wand")
+    other = {
+        "tokens": (f"{hot} {hot} needle17", plain),
+        "scorer": (hot, dict(plain, scorer="tfidf")),
+        "avgdl": (hot, dict(plain, global_stats={"n_docs": 200, "avgdl": 3.0})),
+    }[change]
+    s = IndexSearcher(index_dir)
+    first = s.search(hot, **plain)
+    assert s.last_wand_stats["scoring_builds"] == 1
+    s.search(other[0], **other[1])
+    assert s.last_wand_stats["scoring_builds"] == (2 if change == "tokens" else 1)
+    tb = s._load_term_blocks(tokenize(hot)[0])
+    charge, total = tb.nbytes, s._cache_bytes
+    assert s.search(hot, **plain) == first
+    assert s.last_wand_stats["scoring_builds"] == 0
+    assert (tb.nbytes, s._cache_bytes) == (charge, total)
+    assert first == IndexSearcher(index_dir).search(hot, **dict(plain, algorithm="exhaustive"))
+
+
+def test_third_weight_evicts_the_least_recent_record(built):
+    """Weights w1 (`hot`), w2 (`hot hot`), w1 again, then w3 (`hot hot
+    hot`): w3's record replaces w2's, the least recently used, and w2's
+    charge leaves the term and the searcher's total with it; w2 then
+    builds again, w1 is the one it replaces."""
+    index_dir, _, _ = built
+    hot = make_vocab()[0]
+    s = IndexSearcher(index_dir)
+    kw = dict(k=3, scorer="bm25", algorithm="wand")
+    tb = s._load_term_blocks(tokenize(hot)[0])
+    s.search(hot, **kw)
+    s.search(f"{hot} {hot}", **kw)
+    w1, w2 = tb.scoring.values()
+    assert s.search(hot, **kw) and s.last_wand_stats["scoring_builds"] == 0
+    before = tb.nbytes
+    got = s.search(f"{hot} {hot} {hot}", **kw)
+    assert s.last_wand_stats["scoring_builds"] == 1
+    first, w3 = tb.scoring.values()
+    assert first is w1 and w3 is not w2
+    assert tb.nbytes == before - w2.nbytes + w3.nbytes
+    assert s._cache_bytes == sum(e.nbytes for e in s._cache.values())
+    assert got == IndexSearcher(index_dir).search(f"{hot} {hot} {hot}", **dict(kw, algorithm="exhaustive"))
+    s.search(f"{hot} {hot}", **kw)
+    assert s.last_wand_stats["scoring_builds"] == 1
+    assert w1 not in tb.scoring.values() and w3 in tb.scoring.values()
+
+
+@pytest.mark.parametrize("scorer", ["tfidf", "bm25"])
+def test_dense_union_mixes_row_and_scatter_terms(built, scorer):
+    """The hot term (df = N, its own span is every id: row-eligible) with
+    a mid-df term spread wider than `_DENSE_SPAN` × its df (row-ineligible)
+    and a needle: on dense ids the union passes the gate, the hot term is
+    added as a slice of its row and the spread term scatters; the result
+    equals the exhaustive kernel bit for bit and the brute-force scorer to
+    1e-12.  The same query on url-hash ids builds no row."""
+    index_dir, manifest, corpus = built
+    hot = make_vocab()[0]
+    where: dict[str, list[int]] = {}
+    for i, (_, toks) in enumerate(corpus):  # i is the dense id
+        for t in set(toks):
+            where.setdefault(t, []).append(i)
+    spread = next(t for t, ids in sorted(where.items())
+                  if 3 <= len(ids) <= 10 and max(ids) - min(ids) >= _DENSE_SPAN * len(ids))
+    q = f"{hot} {spread} needle17"
+    brute = brute_force_tfidf_topk if scorer == "tfidf" else brute_force_bm25_topk
+    s = IndexSearcher(index_dir)
+    for k in (3, 10, 1000):
+        got = s.search(q, k=k, scorer=scorer, algorithm="wand")
+        assert got == s.search(q, k=k, scorer=scorer, algorithm="exhaustive")
+        expected = brute(corpus, tokenize(q), k=k)
+        assert [d for d, _ in got] == [d for d, _ in expected]
+        assert [x for _, x in got] == pytest.approx([x for _, x in expected], rel=1e-12)
+    rows = {t: [sc.row is not None for sc in s._load_term_blocks(t).scoring.values()]
+            for t in tokenize(q)}
+    if manifest.config["id_assign"] == "dense":
+        _assert_dense_path(s.last_wand_stats)
+        assert rows == {tokenize(hot)[0]: [True], spread: [False], "needle17": [True]}
+    else:
+        assert s.last_wand_stats["dense_sums"] == 0
+        assert not any(r for rs in rows.values() for r in rs)
 
 
 def test_url_resolution(built):

@@ -399,6 +399,75 @@ def test_facet_counts_empty_match_set(ray_session, tiny_pages, tmp_path_factory)
     assert out.count() == 0
 
 
+def _null_last(rows):
+    """(key tuple, values) rows with pandas' NaN keys as None, sorted by
+    key ascending, a key's null group last."""
+    rows = [(tuple(None if pd.isna(k) else k for k in key), v) for key, v in rows]
+    return sorted(rows, key=lambda r: [(k is None, k or "") for k in r[0]])
+
+
+def test_facet_counts_null_lang_over_blocks(ray_session, tiny_pages, tmp_path_factory):
+    """A null lang is a facet of its own, over a 4-block corpus table
+    (Ray's sort-based groupby cannot order a null string key against a
+    non-null one across blocks): counts equal pandas' groupby with
+    dropna=False, non-null langs ascending, the null facet last."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from indexer_ray.pipelines.build import BuildConfig, build_index
+    from indexer_ray.pipelines.query import IndexSearcher, facet_counts
+    from indexer_ray.sources.pages import make_vocab
+
+    index_dir = str(tmp_path_factory.mktemp("fidxn") / "tiny")
+    build_index([tiny_pages], index_dir, BuildConfig(n_partitions=2, id_assign="dense"))
+    langs = pq.read_table(tiny_pages, columns=["lang"]).column("lang").to_pylist()
+    langs = [None if i % 3 == 1 else lang for i, lang in enumerate(langs)]
+    t = pa.table({"doc_id": pa.array(range(len(langs)), pa.int64()),
+                  "lang": pa.array(langs, pa.string())})
+    q = t.num_rows // 4
+    docs = rd.from_arrow([t.slice(i * q, q if i < 3 else None) for i in range(4)])
+    s = IndexSearcher(index_dir)
+    query = make_vocab()[3]
+    ids = s.matching_doc_ids(query).astype(np.int64)
+    assert 0 < len(ids) < t.num_rows
+    want = pd.DataFrame({"lang": [langs[i] for i in ids]}).groupby("lang", dropna=False).size()
+    assert want.index.isna().any()
+    got = facet_counts(s, docs, query, facet_col="lang").to_pandas()
+    assert list(got.columns) == ["lang", "n_docs"]
+    assert [((k,), v) for k, v in zip(got["lang"], got["n_docs"])] == _null_last(
+        ((k,), v) for k, v in want.items())
+
+
+def test_lang_source_stats_null_keys_over_blocks(ray_session):
+    """Null lang and null source are groups of their own over a 300-row,
+    4-block input: every aggregate equals pandas' groupby with
+    dropna=False, groups in key order, a key's null group last."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from indexer_ray.pipelines.text_analysis import lang_source_stats
+
+    rng = np.random.default_rng(5)
+    n = 300
+    lang = [None if i % 11 == 0 else ["de", "en", "fr"][i % 3] for i in range(n)]
+    source = [None if i % 13 == 5 else ["cc", "wiki"][i % 2] for i in range(n)]
+    chars = rng.integers(1, 5000, n)
+    t = pa.table({"lang": pa.array(lang, pa.string()), "source": pa.array(source, pa.string()),
+                  "n_chars": pa.array(chars, pa.int64())})
+    got = lang_source_stats(rd.from_arrow([t.slice(i * 75, 75) for i in range(4)])).to_pandas()
+    assert list(got.columns) == ["lang", "source", "n_docs", "sum_chars", "avg_chars", "max_chars"]
+    want = t.to_pandas().groupby(["lang", "source"], dropna=False)["n_chars"].agg(
+        ["size", "sum", "mean", "max"])
+    assert want.index.to_frame().isna().any().all()  # nulls in both keys
+    rows = [((a, b), (c, d, e, f)) for a, b, c, d, e, f in got.itertuples(index=False)]
+    exp = _null_last((k, tuple(v)) for k, v in zip(want.index, want.itertuples(index=False)))
+    assert [k for k, _ in rows] == [k for k, _ in exp]
+    for (_, g), (_, w) in zip(rows, exp):
+        assert g[:2] == tuple(w[:2]) and g[3] == w[3]
+        assert g[2] == pytest.approx(w[2], rel=1e-12)
+
+
 def _brute_drop_chunks(texts: dict[int, str], chunk_words: int) -> pd.DataFrame:
     seen: set[str] = set()
     rows = []
